@@ -238,6 +238,13 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+_CAP_HELP = (
+    "most items an exhaustive search may visit: p^n vectors for weight and "
+    "idempotent scans, every subspace of the searched space for ideal lattices "
+    "(default: BARIC_CAP, else 2^20)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baric",
@@ -263,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="enumerate weights (prime field) or verify (rationals)")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("idempotents", help="search weight-one idempotents")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.set_defaults(func=_cmd_idempotents)
 
     p = sub.add_parser("ideal", help="ideal closure of generators")
@@ -285,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bijection", help="verify the kernel ideal pairing")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("decompose", help="decompose the kernel into two ideals")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("classify", help="detect the scalar-action law and normalize")
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default=None, help="pP to pin the sampling field")
     p.add_argument("--maxdim", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.add_argument("--outdir", default=None, help="directory for counterexample files")
     p.set_defaults(func=_cmd_verify)
 

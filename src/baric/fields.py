@@ -18,18 +18,34 @@ from .errors import DivisionByZero, FieldMismatch, FieldNotFinite, ParseError
 _INTERN_LIMIT = 1 << 12
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for
+# every n below PRIME_MODULUS_BOUND (Sorenson & Webster 2015); larger
+# moduli are refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n must lie below PRIME_MODULUS_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -49,6 +65,11 @@ class FieldSpec:
             return spec
         if p is not None:
             p = _as_int(p)
+            if p >= PRIME_MODULUS_BOUND:
+                raise ParseError(
+                    f"field modulus {p} is too large: primality is decided only "
+                    f"below {PRIME_MODULUS_BOUND}"
+                )
             if not _is_prime(p):
                 raise ValueError(f"field modulus must be prime, got {p}")
         spec = object.__new__(cls)

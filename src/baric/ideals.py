@@ -25,7 +25,7 @@ from .errors import (
     DimensionMismatch,
     FactorsNotCommutativeUnital,
 )
-from .linalg import Subspace, enumerate_subspaces, span
+from .linalg import Subspace, _pivot_col, enumerate_subspaces, span
 from .weights import BaricAlgebra, find_weight_one_idempotents
 
 
@@ -41,52 +41,66 @@ class Ideal:
     sided: Sided
 
 
-def _closed_right(a: Algebra, s: Subspace) -> bool:
-    for v in s.basis:
+def _times_basis(a: Algebra, v: Sequence, j: int, left: bool) -> list:
+    """Raw coordinates of e_j * v (left) or v * e_j, from raw coordinates v.
+
+    Entries are unreduced ints over F_p and Fractions over Q.
+    """
+    out = [0] * a.dim
+    by_pair = a._by_pair
+    for i, vi in enumerate(v):
+        if vi:
+            for k, c in by_pair.get((j, i) if left else (i, j), ()):
+                out[k] += vi * c.value
+    return out
+
+
+def _closed(a: Algebra, s: Subspace, left: bool) -> bool:
+    """Is s closed under e_j * v (left) or v * e_j for every basis vector e_j?
+
+    Each image is reduced against the RREF rows of s at their pivot
+    columns; s is closed when every image reduces to zero.
+    """
+    p = a.field.p
+    rows = [[x.value for x in row] for row in s.basis]
+    reducers = [(row, _pivot_col(row)) for row in rows]
+    for v in rows:
         for j in range(a.dim):
-            image = a.product_coords(v, _basis_coords(a, j))
-            if not s.contains_vector(image):
+            image = _times_basis(a, v, j, left)
+            for row, pc in reducers:
+                coeff = image[pc]
+                if coeff:
+                    image = [x - coeff * y for x, y in zip(image, row)]
+            if p is not None:
+                image = [x % p for x in image]
+            if any(image):
                 return False
     return True
-
-
-def _closed_left(a: Algebra, s: Subspace) -> bool:
-    for v in s.basis:
-        for j in range(a.dim):
-            image = a.product_coords(_basis_coords(a, j), v)
-            if not s.contains_vector(image):
-                return False
-    return True
-
-
-def _basis_coords(a: Algebra, i: int):
-    zero, one = a.field.zero, a.field.one
-    coords = [zero] * a.dim
-    coords[i] = one
-    return coords
 
 
 def sidedness(a: Algebra, s: Subspace) -> Sided:
     """Strongest ideal label of a subspace, by direct multiplication tests."""
     if s.ambient_dim != a.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
-    if not _closed_right(a, s):
+    if not _closed(a, s, left=False):
         return Sided.NONE
-    if _closed_left(a, s):
+    if _closed(a, s, left=True):
         return Sided.TWO_SIDED
     return Sided.RIGHT
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
-    return _closed_right(a, s) and _closed_left(a, s)
+    return _closed(a, s, left=False) and _closed(a, s, left=True)
 
 
 def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided.TWO_SIDED) -> Ideal:
     """Least subspace containing gens closed under the requested products.
 
-    Fixpoint iteration: multiply the current basis by every algebra basis
-    vector on the required sides and re-span until the dimension stops
-    growing; it terminates because the dimension is bounded by dim A.
+    Incremental spin: every vector put into the echelon basis waits in a
+    pending list until it has been multiplied by each algebra basis
+    vector on the required sides; a product joins the basis (and the
+    pending list) only when the current span misses it. Each addition
+    raises the dimension, so at most dim A vectors are ever pending.
     """
     side = Sided(side) if not isinstance(side, Sided) else side
     if side is Sided.NONE:
@@ -94,18 +108,19 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
     for g in gens:
         if g.algebra != a:
             raise DimensionMismatch("generator from a different algebra")
-    current = span(a.field, a.dim, [g.coords for g in gens])
-    while True:
-        new_vectors = list(current.basis)
-        for v in current.basis:
-            for j in range(a.dim):
-                new_vectors.append(a.product_coords(v, _basis_coords(a, j)))
-                if side is Sided.TWO_SIDED:
-                    new_vectors.append(a.product_coords(_basis_coords(a, j), v))
-        grown = span(a.field, a.dim, new_vectors)
-        if grown.dim == current.dim:
-            return Ideal(current, sidedness(a, current))
-        current = grown
+    field = a.field
+    sides = (False, True) if side is Sided.TWO_SIDED else (False,)
+    current = span(field, a.dim, [g.coords for g in gens])
+    pending = list(current.basis)
+    while pending:
+        v = [x.value for x in pending.pop()]
+        for j in range(a.dim):
+            for left in sides:
+                w = tuple(field.element(x) for x in _times_basis(a, v, j, left))
+                if not current.contains_vector(w):
+                    current = span(field, a.dim, current.basis + (w,))
+                    pending.append(w)
+    return Ideal(current, sidedness(a, current))
 
 
 def embedded_ideal_check(bow: BaricAlgebra, side: str, ideal: Ideal) -> bool:
@@ -150,7 +165,11 @@ def project_ideal(bow: BaricAlgebra, ideal: Ideal) -> IdealProjection:
 
 
 def kernel_ideals(b: BaricAlgebra, cap: int | None = None) -> list[Subspace]:
-    """All two-sided ideals of the algebra contained in Ker w."""
+    """All two-sided ideals of the algebra contained in Ker w.
+
+    Tests every subspace of Ker w; the cap bounds their number (see
+    enumerate_subspaces).
+    """
     return [
         s
         for s in enumerate_subspaces(b.kernel(), cap)
@@ -277,7 +296,11 @@ def decomposability(
 
     for i, n1 in enumerate(candidates):
         for n2 in candidates[i:]:
-            if n1.intersect(n2).dim == 0 and n1.sum(n2) == kernel:
+            if (
+                n1.dim + n2.dim == kernel.dim
+                and n1.intersect(n2).dim == 0
+                and n1.sum(n2) == kernel
+            ):
                 return Decomposability(DecompOutcome.DECOMPOSABLE, idem, n1, n2)
     if b.field.is_finite:
         return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)

@@ -29,7 +29,12 @@ DEFAULT_ENUMERATION_CAP = 1 << 20
 
 
 def enumeration_cap(override: int | None = None) -> int:
-    """Active enumeration cap: explicit override, else BARIC_CAP, else 2^20."""
+    """Active enumeration cap: explicit override, else BARIC_CAP, else 2^20.
+
+    The cap bounds the number of items an exhaustive search visits: the
+    p^dim vectors of iter_vectors, the subspace_count(p, dim) subspaces of
+    enumerate_subspaces.
+    """
     if override is not None:
         return override
     return int(os.environ.get("BARIC_CAP", DEFAULT_ENUMERATION_CAP))
@@ -379,22 +384,42 @@ def iter_vectors(field: FieldSpec, dim: int, cap: int | None = None) -> Iterator
         yield combo
 
 
+def subspace_count(p: int, d: int) -> int:
+    """Number of subspaces of F_p^d: the sum over k of the Gaussian binomials [d k]_p."""
+    total, binom = 0, 1
+    for k in range(d + 1):
+        total += binom
+        binom = binom * (p ** (d - k) - 1) // (p ** (k + 1) - 1)
+    return total
+
+
 def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[Subspace]:
     """Every subspace of `ambient`, each exactly once, in canonical form.
 
-    Walks pivot-column patterns of reduced-echelon matrices and fills the
-    free positions with all field values, so the output needs no
-    deduplication. Requires a finite field and p^dim(ambient) within cap.
+    Walks pivot-column patterns of reduced-echelon coefficient matrices C
+    and fills the free positions with all residues, so the output needs no
+    deduplication. Each subspace is C @ B for the ambient's basis B; the
+    product of two reduced-echelon matrices is reduced-echelon (B's pivot
+    columns are unit vectors, so they copy C's), hence already canonical.
+    The arithmetic runs on int residues; entries become FieldElements only
+    when a subspace is yielded. Requires a finite field, and the cap bounds
+    the number of subspaces visited, subspace_count(p, dim(ambient)).
     """
     field = ambient.field
-    if field.p is None:
+    p = field.p
+    if p is None:
         raise FieldNotFinite("subspace enumeration needs a finite field")
     d = ambient.dim
-    if field.p**d > enumeration_cap(cap):
-        raise EnumerationTooLarge(f"{field.p}^{d} exceeds the enumeration cap")
-    full = ambient.dim == ambient.ambient_dim
-    elems = list(field.elements())
-    zero, one = field.zero, field.one
+    total = subspace_count(p, d)
+    if total > enumeration_cap(cap):
+        raise EnumerationTooLarge(
+            f"F_{p}^{d} has {total} subspaces, more than the enumeration cap"
+        )
+    n = ambient.ambient_dim
+    table = field._interned()  # None above the interning limit
+    make = field._make if table is None else table.__getitem__
+    dense = [[x.value for x in row] for row in ambient.basis]
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
     for k in range(d + 1):
         for pivots in combinations(range(d), k):
             pivot_set = set(pivots)
@@ -404,16 +429,14 @@ def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[S
                 for c in range(pivots[r] + 1, d)
                 if c not in pivot_set
             ]
-            for fill in product(elems, repeat=len(free_pos)):
-                rows = [[zero] * d for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = one
+            for fill in product(range(p), repeat=len(free_pos)):
+                # row r of C @ B is B[pivots[r]] plus val * B[c] over its free (r, c)
+                rows = [list(dense[pc]) for pc in pivots]
                 for (r, c), val in zip(free_pos, fill):
-                    rows[r][c] = val
-                if full:
-                    yield Subspace(field, d, tuple(tuple(r) for r in rows))
-                else:
-                    mapped = [
-                        row_times_matrix(r, ambient.basis_matrix()) for r in rows
-                    ]
-                    yield span(field, ambient.ambient_dim, mapped)
+                    if val:
+                        row = rows[r]
+                        for j, bj in sparse[c]:
+                            row[j] += val * bj
+                yield Subspace(
+                    field, n, tuple(tuple([make(x % p) for x in row]) for row in rows)
+                )

@@ -1,0 +1,232 @@
+"""Differential tests for the raw-residue lattice primitives.
+
+`enumerate_subspaces`, `sidedness`, `is_two_sided_ideal` and
+`ideal_closure` compute on raw residues internally. Each is compared here
+with a construction written in FieldElement arithmetic through the public
+linear algebra: `span` of rows mapped by `row_times_matrix`, and
+`product_coords` images tested with `contains_vector`.
+"""
+
+import random
+import time
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from baric import (
+    Algebra,
+    EnumerationTooLarge,
+    FieldSpec,
+    ParseError,
+    Sided,
+    Subspace,
+    enumerate_subspaces,
+    ideal_closure,
+    is_two_sided_ideal,
+    kernel_ideals,
+    kpow,
+    sidedness,
+    span,
+    span_of,
+)
+from baric import ideals, io
+from baric.catalog import scalar_action, truncated_polynomials
+from baric.cli import main
+from baric.linalg import row_times_matrix, subspace_count
+
+Q = FieldSpec.rationals()
+F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
+F4099 = FieldSpec.prime(4099)  # above the interning limit
+
+
+def reference_subspaces(ambient: Subspace):
+    """Reduced-echelon coefficient rows in FieldElements, mapped and re-spanned."""
+    field = ambient.field
+    d = ambient.dim
+    elems = list(field.elements())
+    zero, one = field.zero, field.one
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            free_pos = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, d)
+                if c not in pivots
+            ]
+            for fill in product(elems, repeat=len(free_pos)):
+                rows = [[zero] * d for _ in range(k)]
+                for r, pc in enumerate(pivots):
+                    rows[r][pc] = one
+                for (r, c), val in zip(free_pos, fill):
+                    rows[r][c] = val
+                mapped = [row_times_matrix(r, ambient.basis_matrix()) for r in rows]
+                yield span(field, ambient.ambient_dim, mapped)
+
+
+def _random_vectors(rng, field, n, count):
+    if field.p is None:
+        draw = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    else:
+        draw = lambda: rng.randrange(field.p)
+    return [[draw() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(count)]
+
+
+def _random_algebra(rng, field, n):
+    """Sparse random structure constants, so that small ideals occur."""
+    table = {}
+    for (i, j, k), (c,) in zip(
+        product(range(n), repeat=3), _random_vectors(rng, field, 1, n**3)
+    ):
+        if rng.random() < 0.3:
+            table[(i, j, k)] = c
+    return Algebra(field, n, table)
+
+
+def reference_sidedness(a: Algebra, s: Subspace) -> Sided:
+    def closed(left):
+        for v in s.basis:
+            for j in range(a.dim):
+                e = a.basis_element(j).coords
+                image = a.product_coords(e, v) if left else a.product_coords(v, e)
+                if not s.contains_vector(image):
+                    return False
+        return True
+
+    if not closed(False):
+        return Sided.NONE
+    return Sided.TWO_SIDED if closed(True) else Sided.RIGHT
+
+
+def reference_closure(a: Algebra, gens, side: Sided) -> Subspace:
+    """Re-span the whole basis with all its products until nothing grows."""
+    current = span(a.field, a.dim, [g.coords for g in gens])
+    while True:
+        vectors = list(current.basis)
+        for v in current.basis:
+            for j in range(a.dim):
+                e = a.basis_element(j).coords
+                vectors.append(a.product_coords(v, e))
+                if side is Sided.TWO_SIDED:
+                    vectors.append(a.product_coords(e, v))
+        grown = span(a.field, a.dim, vectors)
+        if grown == current:
+            return current
+        current = grown
+
+
+@st.composite
+def proper_ambients(draw):
+    field, max_d = draw(st.sampled_from([(F2, 5), (F3, 4), (F5, 3), (F4099, 2)]))
+    n = draw(st.integers(1, max_d + 2))
+    d = draw(st.integers(0, min(max_d, n - 1)))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    ambient = span_of(field, n, _random_vectors(rng, field, n, d))
+    return ambient
+
+
+@settings(max_examples=40, deadline=None)
+@given(proper_ambients())
+def test_enumeration_matches_reference_construction(ambient):
+    assert ambient.dim < ambient.ambient_dim
+    fast = list(enumerate_subspaces(ambient))
+    assert fast == list(reference_subspaces(ambient))
+    assert len(fast) == subspace_count(ambient.field.p, ambient.dim)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F4099])
+def test_enumeration_of_full_space_matches_reference(field):
+    n = 2 if field is F4099 else 3
+    full = Subspace.full(field, n)
+    assert list(enumerate_subspaces(full)) == list(reference_subspaces(full))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([Q, F2, F3, F5]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+def test_sidedness_matches_reference(field, n, scalar, seed):
+    rng = random.Random(seed)
+    if scalar:
+        # x*y = w(y) x: every subspace is a right ideal, few are two-sided
+        a = scalar_action(field, [rng.choice([0, 1, 2]) for _ in range(n - 1)] + [1]).algebra
+    else:
+        a = _random_algebra(rng, field, n)
+    vectors = _random_vectors(rng, field, n, rng.randint(0, n))
+    gens = [a.element(v) for v in vectors]
+    candidates = [span_of(field, n, vectors)]
+    for side in (Sided.RIGHT, Sided.TWO_SIDED):
+        closure = ideal_closure(a, gens, side)
+        assert closure.space == reference_closure(a, gens, side)
+        candidates.append(closure.space)
+    for s in candidates:
+        expected = reference_sidedness(a, s)
+        assert sidedness(a, s) is expected
+        assert is_two_sided_ideal(a, s) == (expected is Sided.TWO_SIDED)
+
+
+def test_closure_spins_to_the_fixpoint():
+    a = truncated_polynomials(Q, 5).algebra
+    x = a.basis_element(1)  # x, x^2, x^3, x^4 each need the one before
+    closure = ideal_closure(a, [x], Sided.TWO_SIDED)
+    assert closure.space == reference_closure(a, [x], Sided.TWO_SIDED)
+    assert closure.space.dim == 4
+
+
+def test_subspace_count_values():
+    assert subspace_count(2, 11) == 8933488744
+    assert subspace_count(2, 20) > 9 * 10**30
+
+
+def test_cap_bounds_the_subspaces_visited():
+    full = Subspace.full(F2, 4)  # 67 subspaces, only 16 vectors
+    assert len(list(enumerate_subspaces(full, cap=67))) == 67
+    with pytest.raises(EnumerationTooLarge):
+        next(enumerate_subspaces(full, cap=66))
+
+
+def test_dim12_kernel_lattice_is_refused_at_once(monkeypatch, tmp_path, capsys):
+    b = kpow(F2, 12)  # Ker w has 8.9e9 subspaces; 2^11 is within the cap
+    visited = []
+    monkeypatch.setattr(ideals, "is_two_sided_ideal", lambda a, s: visited.append(s))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge):
+        kernel_ideals(b)
+    path = tmp_path / "kpow12.json"
+    io.save(b, path)
+    assert main(["decompose", str(path)]) == 1
+    assert "EnumerationTooLarge" in capsys.readouterr().err
+    assert visited == []
+    assert time.perf_counter() - start < 5.0
+
+
+def test_huge_modulus_is_refused_quickly():
+    start = time.perf_counter()
+    assert FieldSpec.prime(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ParseError):
+        FieldSpec.prime(10**29 + 7)  # 30 digits
+    doc = {"field": {"kind": "prime", "p": 10**29 + 7}, "dim": 1, "mul": [], "weight": ["1"]}
+    with pytest.raises(ParseError):
+        io.document_to_algebra(doc)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_primality_matches_trial_division():
+    from baric.fields import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to every prime base up to 31 and up to 37
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    with pytest.raises(ValueError):
+        FieldSpec.prime(3825123056546413051)

@@ -18,6 +18,7 @@ from baric import (
     solve,
     span_of,
 )
+from baric.linalg import subspace_count
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -132,7 +133,7 @@ def test_kernel_basis():
 def test_enumeration_counts_match_galois_numbers(p, n):
     field = FieldSpec.prime(p)
     subs = list(enumerate_subspaces(Subspace.full(field, n)))
-    assert len(subs) == galois_number(n, p)
+    assert len(subs) == galois_number(n, p) == subspace_count(p, n)
     assert len(set(subs)) == len(subs)
 
 
