@@ -16,7 +16,6 @@ from .algebra import (
     change_basis,
     commutative_center,
     commutator,
-    multiply,
     property_flags,
 )
 from .bowtie import (
@@ -30,7 +29,6 @@ from .bowtie import (
     factor,
     factors,
     idempotent_family,
-    kpow,
     project,
     split_element,
     structural_isos,
@@ -80,7 +78,6 @@ from .linalg import (
     enumeration_cap,
     iter_vectors,
     kernel_basis,
-    rref,
     solve,
     span,
     span_of,
@@ -104,6 +101,7 @@ from .weights import (
     find_weight_one_idempotents,
     is_nil_kernel,
     is_scalar_action,
+    kpow,
     nil_kernel_witness,
     normalize_weight_one_basis,
     validate_weight,

@@ -167,14 +167,6 @@ class Element:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
-    """Bilinear product; same as x * y."""
-    if x.algebra is not algebra or y.algebra is not algebra:
-        if x.algebra != algebra or y.algebra != algebra:
-            raise DimensionMismatch("elements do not belong to this algebra")
-    return x * y
-
-
 def commutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - yx."""
     return x * y - y * x
@@ -204,7 +196,7 @@ def _is_commutative(a: Algebra) -> bool:
 
 def _is_associative(a: Algebra) -> bool:
     n = a.dim
-    singles = [_unit_coords(a, i) for i in range(n)]
+    singles = Matrix.identity(a.field, n).rows
     pair_products = {}
     for i in range(n):
         for j in range(n):
@@ -220,20 +212,13 @@ def _is_associative(a: Algebra) -> bool:
     return True
 
 
-def _unit_coords(a: Algebra, i: int) -> list[FieldElement]:
-    zero, one = a.field.zero, a.field.one
-    coords = [zero] * a.dim
-    coords[i] = one
-    return coords
-
-
 def _alternative(a: Algebra, left: bool) -> bool:
     # (x,x,y) = 0 (or (x,y,y) = 0) is quadratic in the repeated slot, so
     # checking it on e_i and on e_i + e_j for i < j is complete over every
     # field, including characteristic 2 where the polarized identity alone
     # is weaker.
     n = a.dim
-    singles = [_unit_coords(a, i) for i in range(n)]
+    singles = Matrix.identity(a.field, n).rows
     doubled = {}
     for i in range(n):
         for j in range(i + 1, n):

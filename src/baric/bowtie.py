@@ -12,16 +12,15 @@ split.
 
 The module also provides the closed forms for commutators and
 associators of the product, the family of weight-one idempotents built
-from factor idempotents, the iterated power of the base field, the
-structural isomorphisms (swap, regrouping, transport along a factor
-isomorphism), and the associativity characterization in terms of the
-scalar-action law x*y = w(y)*x.
+from factor idempotents, the structural isomorphisms (swap, regrouping,
+transport along a factor isomorphism), and the associativity
+characterization in terms of the scalar-action law x*y = w(y)*x. The
+iterated power of the base field, kpow, lives in weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import Algebra, Element, commutator, property_flags
 from .errors import (
@@ -32,13 +31,12 @@ from .errors import (
     NotWeightPreserving,
     WeightNotOne,
 )
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement
 from .linalg import Matrix, Subspace, span
 from .weights import (
     BaricAlgebra,
     BowtieTag,
     Weight,
-    _scalar_power,
     baric_isomorphic_by,
     is_scalar_action,
 )
@@ -131,14 +129,10 @@ def project(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def split_element(b: BaricAlgebra, x: Element) -> tuple[Element, Element]:
-    """Split a product-algebra element into its factor components."""
-    left, right = factors(b)
-    n1 = left.dim
-    return (
-        Element(left.algebra, x.coords[:n1]),
-        Element(right.algebra, x.coords[n1:]),
-    )
+def split_element(b1: BaricAlgebra, b2: BaricAlgebra, x: Element) -> tuple[Element, Element]:
+    """Split an element of the product of b1 and b2 into its factor components."""
+    n1 = b1.dim
+    return Element(b1.algebra, x.coords[:n1]), Element(b2.algebra, x.coords[n1:])
 
 
 def commutator_closed_form(
@@ -220,18 +214,6 @@ def idempotent_family(
     return embed(b, "left", e1.scaled(lam)) + embed(b, "right", e2.scaled(mu))
 
 
-def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
-    """The n-th bowtie power of the base field (left-associated).
-
-    Its structure constants are c[i,j,k] = 1{k=i} with all weights one;
-    iterating bowtie() over n copies of the one-dimensional baric algebra
-    produces exactly this table.
-    """
-    if n < 1:
-        raise DimensionMismatch("the power needs at least one factor")
-    return _scalar_power(field, n)
-
-
 @dataclass(frozen=True)
 class StructuralIsos:
     """Explicit matrices for the swap / regrouping isomorphisms, verified."""
@@ -244,19 +226,9 @@ class StructuralIsos:
 
 def swap_matrix(b1: BaricAlgebra, b2: BaricAlgebra) -> Matrix:
     """Matrix of (a1, a2) -> (a2, a1) from b1|b2 to b2|b1 coordinates."""
-    n1, n2 = b1.dim, b2.dim
-    field = b1.field
-    zero, one = field.zero, field.one
-    rows = []
-    for i in range(n1):
-        row = [zero] * (n1 + n2)
-        row[n2 + i] = one
-        rows.append(tuple(row))
-    for i in range(n2):
-        row = [zero] * (n1 + n2)
-        row[i] = one
-        rows.append(tuple(row))
-    return Matrix(field, rows, n1 + n2)
+    n = b1.dim + b2.dim
+    ident = Matrix.identity(b1.field, n).rows
+    return Matrix(b1.field, ident[b2.dim :] + ident[: b2.dim], n)
 
 
 def structural_isos(
@@ -292,17 +264,10 @@ def transport_iso(
     """
     if not baric_isomorphic_by(f, src, dst):
         raise NotWeightPreserving("f is not a weight-preserving isomorphism")
-    n1, n2 = src.dim, other.dim
-    field = src.field
-    zero, one = field.zero, field.one
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(f.row(i)) + (zero,) * n2)
-    for i in range(n2):
-        row = [zero] * (n1 + n2)
-        row[n1 + i] = one
-        rows.append(tuple(row))
-    extended = Matrix(field, rows, n1 + n2)
+    n = src.dim + other.dim
+    ident = Matrix.identity(src.field, n).rows
+    padding = (src.field.zero,) * other.dim
+    extended = Matrix(src.field, [r + padding for r in f.rows] + list(ident[src.dim :]), n)
     ok = baric_isomorphic_by(extended, bowtie(src, other), bowtie(dst, other))
     return extended, ok
 

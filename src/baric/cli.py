@@ -13,17 +13,8 @@ from pathlib import Path
 
 from . import io
 from .algebra import commutative_center, property_flags
-from .bowtie import bowtie, kpow
-from .errors import (
-    BaricError,
-    DimensionMismatch,
-    DivisionByZero,
-    DuplicateTriple,
-    FieldMismatch,
-    ParseError,
-    UnknownProposition,
-    WeightInvalid,
-)
+from .bowtie import bowtie
+from .errors import BaricError, DimensionMismatch, DivisionByZero
 from .fields import FieldSpec, parse_scalar
 from .ideals import (
     Sided,
@@ -34,25 +25,17 @@ from .ideals import (
     Ideal,
     sidedness,
 )
-from .linalg import Subspace
 from .propcheck import PROPOSITION_IDS, RunConfig, check
 from .weights import (
     baric_isomorphic_by,
     classify_scalar_action,
     enumerate_weights,
     find_weight_one_idempotents,
+    kpow,
 )
 
-_USAGE_ERRORS = (
-    ParseError,
-    DuplicateTriple,
-    WeightInvalid,
-    DimensionMismatch,
-    FieldMismatch,
-    DivisionByZero,
-    UnknownProposition,
-    ValueError,
-)
+# malformed-input errors derive from ValueError; DivisionByZero is a ZeroDivisionError
+_USAGE_ERRORS = (ValueError, DivisionByZero)
 
 
 def _coords_text(coords) -> str:

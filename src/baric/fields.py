@@ -93,10 +93,6 @@ class FieldSpec:
         return self.p is not None
 
     @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
-    @property
     def token(self) -> str:
         """Short form used on the command line: 'q' or 'p<prime>'."""
         return "q" if self.p is None else f"p{self.p}"
@@ -134,6 +130,10 @@ class FieldSpec:
             return parse_scalar(value, self)
         if self.p is None:
             return FieldElement._raw(self, Fraction(value))
+        if isinstance(value, Fraction):
+            if value.denominator % self.p == 0:
+                raise DivisionByZero(f"denominator of {value} is zero mod {self.p}")
+            return self._make(value.numerator * pow(value.denominator, -1, self.p) % self.p)
         return self._make(_as_int(value) % self.p)
 
     @property

@@ -23,10 +23,15 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra
-from .errors import DuplicateTriple, ParseError, WeightInvalid
+from .errors import DuplicateTriple, ParseError
 from .fields import FieldSpec, parse_scalar
 from .linalg import Subspace, span
-from .weights import BaricAlgebra, BowtieTag, Weight, validate_weight
+from .weights import BaricAlgebra, BowtieTag, Weight
+
+
+def _is_index(value) -> bool:
+    # JSON true/false load as Python bools, which are ints
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _field_to_json(field: FieldSpec) -> dict:
@@ -78,7 +83,7 @@ def document_to_algebra(doc) -> BaricAlgebra:
         raise ParseError("document root must be an object")
     field = _field_from_json(doc.get("field"), "field")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_index(dim) or dim < 1:
         raise ParseError("dim: expected a positive integer")
 
     names = doc.get("basis")
@@ -99,7 +104,7 @@ def document_to_algebra(doc) -> BaricAlgebra:
             raise ParseError(f"{where}: expected [i, j, k, coeff]")
         i, j, k, coeff = entry
         for name, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_index(idx) or not 0 <= idx < dim:
                 raise ParseError(f"{where}: index {name}={idx!r} out of range for dim {dim}")
         if not isinstance(coeff, str):
             raise ParseError(f"{where}: coefficient must be a string")
@@ -124,15 +129,12 @@ def document_to_algebra(doc) -> BaricAlgebra:
             raise ParseError(f"weight[{pos}]: {exc}") from exc
     weight = Weight(field, coords)
 
-    algebra = Algebra(field, dim, table, names)
-    if not validate_weight(algebra, weight):
-        raise WeightInvalid("weight is zero or not multiplicative on basis pairs")
-
-    tag = None
+    # the weight is validated before the provenance, and only once
+    b = BaricAlgebra(Algebra(field, dim, table, names), weight)
     prov = doc.get("provenance")
     if prov is not None:
-        tag = _tag_from_json(prov, algebra, weight)
-    return BaricAlgebra(algebra, weight, tag)
+        b.provenance = _tag_from_json(prov, b.algebra, weight)
+    return b
 
 
 def _tag_from_json(prov, algebra: Algebra, weight: Weight) -> BowtieTag:
@@ -140,7 +142,7 @@ def _tag_from_json(prov, algebra: Algebra, weight: Weight) -> BowtieTag:
         raise ParseError("provenance: expected {'bowtie': {'left': int, 'right': int}}")
     split = prov["bowtie"]
     n1, n2 = split.get("left"), split.get("right")
-    if not (isinstance(n1, int) and isinstance(n2, int) and n1 >= 1 and n2 >= 1):
+    if not (_is_index(n1) and _is_index(n2) and n1 >= 1 and n2 >= 1):
         raise ParseError("provenance: block dimensions must be positive integers")
     if n1 + n2 != algebra.dim:
         raise ParseError(
@@ -214,7 +216,7 @@ def document_to_subspace(doc) -> Subspace:
         raise ParseError("subspace document root must be an object")
     field = _field_from_json(doc.get("field"), "field")
     n = doc.get("ambient_dim")
-    if not isinstance(n, int) or n < 0:
+    if not _is_index(n) or n < 0:
         raise ParseError("ambient_dim: expected a nonnegative integer")
     vectors_doc = doc.get("vectors")
     if not isinstance(vectors_doc, list):

@@ -82,16 +82,8 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, [tuple(one if i == j else zero for j in range(n)) for i in range(n)], n)
 
-    @classmethod
-    def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [tuple(z for _ in range(ncols)) for _ in range(nrows)], ncols)
-
     def row(self, i: int) -> Row:
         return self.rows[i]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
@@ -200,11 +192,6 @@ def _rref(field: FieldSpec, rows, ncols: int):
     return [tuple(row) for row in m], pivots
 
 
-def rref(m: Matrix) -> Matrix:
-    """Reduced row-echelon form of a matrix (row space preserved)."""
-    return m.rref()
-
-
 def kernel_basis(m: Matrix) -> list[Row]:
     """Basis of {x : m @ x^T = 0}, one vector per free column."""
     reduced, pivots = _rref(m.field, m.rows, m.ncols)
@@ -297,34 +284,11 @@ class Subspace:
         if self.is_zero or other.is_zero:
             return Subspace.zero_space(self.field, self.ambient_dim)
         stacked = Matrix(self.field, self.basis + other.basis, self.ambient_dim)
-        vectors = []
-        k = self.dim
-        for w in kernel_basis(stacked.transpose()):
-            zero = self.field.zero
-            v = [zero] * self.ambient_dim
-            for wi, row in zip(w[:k], self.basis):
-                if wi:
-                    for j, rj in enumerate(row):
-                        if rj:
-                            v[j] = v[j] + wi * rj
-            vectors.append(tuple(v))
+        basis, k = self.basis_matrix(), self.dim
+        vectors = [row_times_matrix(w[:k], basis) for w in kernel_basis(stacked.transpose())]
         return span(self.field, self.ambient_dim, vectors)
 
     __and__ = intersect
-
-    def vectors(self) -> Iterator[Row]:
-        """All vectors of the subspace (finite fields only)."""
-        if self.field.p is None:
-            raise FieldNotFinite("cannot list vectors over the rationals")
-        zero = self.field.zero
-        for coeffs in product(list(self.field.elements()), repeat=self.dim):
-            v = [zero] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j, rj in enumerate(row):
-                        if rj:
-                            v[j] = v[j] + c * rj
-            yield tuple(v)
 
     def _check(self, other: "Subspace") -> None:
         if self.field is not other.field:
@@ -369,7 +333,7 @@ def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence[FieldEle
 
 
 def span_of(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
-    """span() with entrywise coercion, for tests and the CLI."""
+    """span() with entrywise coercion of ints, Fractions and strings."""
     return span(field, ambient_dim, [_coerce_row(field, v) for v in vectors])
 
 

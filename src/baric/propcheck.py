@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from . import io
@@ -39,7 +40,7 @@ from .bowtie import (
     bowtie,
     commutator_closed_form,
     idempotent_family,
-    kpow,
+    split_element,
     structural_isos,
     transport_iso,
 )
@@ -71,13 +72,22 @@ from .weights import (
     classify_scalar_action,
     enumerate_weights,
     is_scalar_action,
+    kpow,
     normalize_weight_one_basis,
     validate_weight,
 )
 
 
 class CheckFailure(Exception):
-    """Raised inside a trial when the statement under test fails."""
+    """Raised inside a trial when the statement under test fails.
+
+    Given the factor pair, the message is followed by both factor documents.
+    """
+
+    def __init__(self, message: str, b1: BaricAlgebra | None = None, b2: BaricAlgebra | None = None):
+        if b1 is not None:
+            message += "\nleft factor:\n" + io.dumps(b1) + "right factor:\n" + io.dumps(b2)
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,28 @@ class PropReport:
 # -- instance generators -------------------------------------------------
 
 
+def _pivot_table(dim, w, draw, solve_lead, start=0, commutative=False) -> dict:
+    """Structure constants valid for the weight w, by the pivot construction.
+
+    For each basis pair (i, j) with i, j >= start, c[i,j,k] for k >= 1 is
+    drawn and c[i,j,0] = solve_lead(w_i w_j - sum_k c[i,j,k] w_k). Zero
+    entries are left out.
+    """
+    table = {}
+    for i in range(start, dim):
+        for j in range(start, dim):
+            if commutative and j < i:
+                continue
+            tail = [draw() for _ in range(dim - 1)]
+            lead = solve_lead(w[i] * w[j] - sum(c * wk for c, wk in zip(tail, w[1:])))
+            for k, c in enumerate([lead] + tail):
+                if c:
+                    table[(i, j, k)] = c
+                    if commutative and i != j:
+                        table[(j, i, k)] = c
+    return table
+
+
 def random_baric(
     field: FieldSpec,
     dim: int,
@@ -135,23 +167,16 @@ def random_baric(
     rng = random.Random(seed)
     w = [1] + [rng.randrange(p) for _ in range(dim - 1)]
     table: dict[tuple[int, int, int], int] = {}
-    start = 0
     if unital:
-        start = 1
         for j in range(dim):
             table[(0, j, j)] = 1
             table[(j, 0, j)] = 1
-    for i in range(start, dim):
-        for j in range(start, dim):
-            if commutative and j < i:
-                continue
-            tail = [rng.randrange(p) for _ in range(dim - 1)]
-            lead = (w[i] * w[j] - sum(c * wk for c, wk in zip(tail, w[1:]))) % p
-            for k, c in enumerate([lead] + tail):
-                if c:
-                    table[(i, j, k)] = c
-                    if commutative and i != j:
-                        table[(j, i, k)] = c
+    table.update(
+        _pivot_table(
+            dim, w, lambda: rng.randrange(p), lambda r: r % p,
+            start=int(unital), commutative=commutative,
+        )
+    )
     return BaricAlgebra(Algebra(field, dim, table), Weight(field, w))
 
 
@@ -166,17 +191,13 @@ def random_rational_baric(dim: int, weight, seed: int = 0, magnitude: int = 2) -
     if not w.coords[0]:
         raise ValueError("leading weight coordinate must be nonzero")
     rng = random.Random(seed)
-    table: dict[tuple[int, int, int], object] = {}
-    for i in range(dim):
-        for j in range(dim):
-            tail = [Fraction(rng.randint(-magnitude, magnitude)) for _ in range(dim - 1)]
-            acc = w.coords[i].value * w.coords[j].value
-            for c, wk in zip(tail, w.coords[1:]):
-                acc -= c * wk.value
-            lead = acc / w.coords[0].value
-            for k, c in enumerate([lead] + tail):
-                if c:
-                    table[(i, j, k)] = c
+    values = [c.value for c in w.coords]
+    table = _pivot_table(
+        dim,
+        values,
+        lambda: Fraction(rng.randint(-magnitude, magnitude)),
+        lambda r: r / values[0],
+    )
     return BaricAlgebra(Algebra(field, dim, table), w)
 
 
@@ -220,25 +241,22 @@ def _random_element(rng: random.Random, b: BaricAlgebra) -> Element:
     return b.element([rng.randint(-3, 3) for _ in range(b.dim)])
 
 
-def _random_pair(rng, cfg, field, lo=1, hi=3, commutative=False, unital=False):
-    b1 = random_baric(
-        field, _dim(rng, cfg, lo, hi),
-        commutative=commutative, unital=unital, seed=_seed32(rng),
-    )
-    b2 = random_baric(
-        field, _dim(rng, cfg, lo, hi),
-        commutative=commutative, unital=unital, seed=_seed32(rng),
-    )
+def _random_pair(rng, cfg, field, lo=1, hi=3, **flags):
+    b1 = random_baric(field, _dim(rng, cfg, lo, hi), seed=_seed32(rng), **flags)
+    b2 = random_baric(field, _dim(rng, cfg, lo, hi), seed=_seed32(rng), **flags)
     return b1, b2
 
 
-def _describe(b1: BaricAlgebra, b2: BaricAlgebra) -> str:
-    return "left factor:\n" + io.dumps(b1) + "right factor:\n" + io.dumps(b2)
+def _bounded_pair(rng, cfg, field, hi, total, **flags):
+    """Two random factors of dimension at most hi and at most total together.
 
-
-def _split(b1: BaricAlgebra, b2: BaricAlgebra, x: Element) -> tuple[Element, Element]:
-    n1 = b1.dim
-    return Element(b1.algebra, x.coords[:n1]), Element(b2.algebra, x.coords[n1:])
+    Both dimensions are drawn before either seed.
+    """
+    d1 = _dim(rng, cfg, 1, min(hi, total - 1))
+    d2 = _dim(rng, cfg, 1, min(hi, total - d1))
+    b1 = random_baric(field, d1, seed=_seed32(rng), **flags)
+    b2 = random_baric(field, d2, seed=_seed32(rng), **flags)
+    return b1, b2
 
 
 # -- the suites ----------------------------------------------------------
@@ -249,13 +267,11 @@ def _check_p21(rng, t, cfg):
     b1, b2 = _random_pair(rng, cfg, field)
     bow = bowtie(b1, b2)
     if not validate_weight(bow.algebra, bow.weight):
-        raise CheckFailure("combined weight is not multiplicative\n" + _describe(b1, b2))
+        raise CheckFailure("combined weight is not multiplicative", b1, b2)
     for _ in range(5):
         x, y = _random_element(rng, bow), _random_element(rng, bow)
         if bow.weight(x * y) != bow.weight(x) * bow.weight(y):
-            raise CheckFailure(
-                f"weight not multiplicative at x={x!r} y={y!r}\n" + _describe(b1, b2)
-            )
+            raise CheckFailure(f"weight not multiplicative at x={x!r} y={y!r}", b1, b2)
 
 
 def _check_p31(rng, t, cfg):
@@ -264,9 +280,9 @@ def _check_p31(rng, t, cfg):
     b3 = random_baric(field, _dim(rng, cfg, 1, 2), seed=_seed32(rng))
     isos = structural_isos(b1, b2, b3)
     if not isos.swap_verified:
-        raise CheckFailure("swap map failed verification\n" + _describe(b1, b2))
+        raise CheckFailure("swap map failed verification", b1, b2)
     if not isos.assoc_verified:
-        raise CheckFailure("regrouping map failed verification\n" + _describe(b1, b2))
+        raise CheckFailure("regrouping map failed verification", b1, b2)
 
 
 def _random_invertible(rng, field, n) -> Matrix:
@@ -294,7 +310,7 @@ def _check_p32(rng, t, cfg):
     f = tmat.inverse()
     _, ok = transport_iso(f, b1, moved, b2)
     if not ok:
-        raise CheckFailure("transported map failed verification\n" + _describe(b1, b2))
+        raise CheckFailure("transported map failed verification", b1, b2)
 
 
 def _check_p33(rng, t, cfg):
@@ -310,15 +326,13 @@ def _check_p33(rng, t, cfg):
     one = field.one
     for m in members:
         if m * m != m:
-            raise CheckFailure(f"family member {m!r} is not idempotent\n" + _describe(b1, b2))
+            raise CheckFailure(f"family member {m!r} is not idempotent", b1, b2)
         if bow.weight(m) != one:
-            raise CheckFailure(f"family member {m!r} has weight != 1\n" + _describe(b1, b2))
+            raise CheckFailure(f"family member {m!r} has weight != 1", b1, b2)
     for e in members:
         for f_ in members:
             if e * f_ != e:
-                raise CheckFailure(
-                    f"family law ef=e fails at e={e!r} f={f_!r}\n" + _describe(b1, b2)
-                )
+                raise CheckFailure(f"family law ef=e fails at e={e!r} f={f_!r}", b1, b2)
 
 
 def _check_c31(rng, t, cfg):
@@ -326,9 +340,7 @@ def _check_c31(rng, t, cfg):
     b1, b2 = _random_pair(rng, cfg, field)
     center = commutative_center(bowtie(b1, b2).algebra)
     if center.dim != 0:
-        raise CheckFailure(
-            f"commutative center has dimension {center.dim}\n" + _describe(b1, b2)
-        )
+        raise CheckFailure(f"commutative center has dimension {center.dim}", b1, b2)
 
 
 def _check_p41(rng, t, cfg):
@@ -340,24 +352,16 @@ def _check_p41(rng, t, cfg):
                 f"componentwise control: expected 2 weights, found {len(found)}"
             )
     field = _field_for(cfg, rng)
-    d1 = _dim(rng, cfg, 1, 3)
-    d2 = _dim(rng, cfg, 1, min(3, 6 - d1))
-    b1 = random_baric(field, d1, seed=_seed32(rng))
-    b2 = random_baric(field, d2, seed=_seed32(rng))
+    b1, b2 = _bounded_pair(rng, cfg, field, 3, 6)
     bow = bowtie(b1, b2)
     found = enumerate_weights(bow.algebra, cfg.cap)
     if found != [bow.weight]:
-        raise CheckFailure(
-            f"expected exactly the stored weight, found {found!r}\n" + _describe(b1, b2)
-        )
+        raise CheckFailure(f"expected exactly the stored weight, found {found!r}", b1, b2)
 
 
 def _check_c41(rng, t, cfg):
     field = _field_for(cfg, rng)
-    d1 = _dim(rng, cfg, 1, 3)
-    d2 = _dim(rng, cfg, 1, min(3, 6 - d1))
-    b1 = random_baric(field, d1, seed=_seed32(rng))
-    b2 = random_baric(field, d2, seed=_seed32(rng))
+    b1, b2 = _bounded_pair(rng, cfg, field, 3, 6)
     bow = bowtie(b1, b2)
     zero = field.zero
     for fac, lo in ((b1, 0), (b2, b1.dim)):
@@ -369,13 +373,11 @@ def _check_c41(rng, t, cfg):
                 ei = bow.basis_element(lo + i)
                 ej = bow.basis_element(lo + j)
                 if (ei * ej).coords != tuple(image):
-                    raise CheckFailure(
-                        "embedding is not multiplicative\n" + _describe(b1, b2)
-                    )
+                    raise CheckFailure("embedding is not multiplicative", b1, b2)
             if bow.weight.coords[lo + i] != fac.weight.coords[i]:
-                raise CheckFailure("embedding does not preserve weight\n" + _describe(b1, b2))
+                raise CheckFailure("embedding does not preserve weight", b1, b2)
     if len(enumerate_weights(bow.algebra, cfg.cap)) != 1:
-        raise CheckFailure("ambient weight is not unique\n" + _describe(b1, b2))
+        raise CheckFailure("ambient weight is not unique", b1, b2)
 
 
 def _check_p51(rng, t, cfg):
@@ -394,7 +396,7 @@ def _check_p51(rng, t, cfg):
             if direct != expected:
                 raise CheckFailure(
                     f"{side} ideal {s!r}: embedded check {direct}, "
-                    f"kernel containment {expected}\n" + _describe(b1, b2)
+                    f"kernel containment {expected}", b1, b2
                 )
 
 
@@ -413,7 +415,7 @@ def _check_p52(rng, t, cfg):
         if proj.left_is_ideal != expected:
             raise CheckFailure(
                 f"ideal {s!r}: left projection ideal={proj.left_is_ideal}, "
-                f"right-in-kernel={expected}\n" + _describe(b1, b2)
+                f"right-in-kernel={expected}", b1, b2
             )
 
 
@@ -429,93 +431,58 @@ def _check_p53(rng, t, cfg):
         if (proj.left.dim == b1.dim) != (s == kernel):
             raise CheckFailure(
                 f"kernel ideal {s!r}: full left projection vs kernel equality "
-                f"disagree\n" + _describe(b1, b2)
+                "disagree", b1, b2
             )
 
 
 def _check_p54(rng, t, cfg):
     field = _field_for(cfg, rng)
-    hi = 3 if field.p == 2 else 2
-    limit = 5 if field.p == 2 else 4
-    d1 = _dim(rng, cfg, 1, min(hi, limit - 1))
-    d2 = _dim(rng, cfg, 1, min(hi, limit - d1))
-    b1 = random_baric(field, d1, commutative=True, unital=True, seed=_seed32(rng))
-    b2 = random_baric(field, d2, commutative=True, unital=True, seed=_seed32(rng))
+    hi, total = (3, 5) if field.p == 2 else (2, 4)
+    b1, b2 = _bounded_pair(rng, cfg, field, hi, total, commutative=True, unital=True)
     result = kernel_ideal_bijection(bowtie(b1, b2), cfg.cap)
     if not result.verified:
-        raise CheckFailure("kernel ideal pairing failed to verify\n" + _describe(b1, b2))
+        raise CheckFailure("kernel ideal pairing failed to verify", b1, b2)
 
 
 def _check_p55(rng, t, cfg):
     field = cfg.field or FieldSpec.prime(2)
-    pair = None
     for _ in range(30):
-        b1 = random_baric(field, _dim(rng, cfg, 2, 3), commutative=True, unital=True, seed=_seed32(rng))
-        b2 = random_baric(field, _dim(rng, cfg, 2, 3), commutative=True, unital=True, seed=_seed32(rng))
-        if (
-            decomposability(b1, cfg.cap).outcome is DecompOutcome.INDECOMPOSABLE
-            and decomposability(b2, cfg.cap).outcome is DecompOutcome.INDECOMPOSABLE
+        b1, b2 = _random_pair(rng, cfg, field, lo=2, hi=3, commutative=True, unital=True)
+        if all(
+            decomposability(b, cfg.cap).outcome is DecompOutcome.INDECOMPOSABLE
+            for b in (b1, b2)
         ):
-            pair = (b1, b2)
             break
-    if pair is None:
-        pair = (dual_numbers(field), truncated_polynomials(field, 3))
-    b1, b2 = pair
+    else:
+        b1, b2 = dual_numbers(field), truncated_polynomials(field, 3)
     result = decomposability(bowtie(b1, b2), cfg.cap)
     if result.outcome is not DecompOutcome.INDECOMPOSABLE:
         raise CheckFailure(
-            f"product of indecomposable factors reported {result.outcome.value}\n"
-            + _describe(b1, b2)
+            f"product of indecomposable factors reported {result.outcome.value}", b1, b2
         )
+
+
+def _check_closed_form(rng, cfg, name, direct, closed_form, labels):
+    """Compare a closed form with direct computation on every basis tuple and one random tuple."""
+    field = cfg.field or FieldSpec.prime(3)
+    b1, b2 = _random_pair(rng, cfg, field)
+    bow = bowtie(b1, b2)
+    basis = [bow.basis_element(i) for i in range(bow.dim)]
+    tuples = list(product(basis, repeat=len(labels)))
+    tuples.append(tuple(_random_element(rng, bow) for _ in labels))
+    for args in tuples:
+        parts = [split_element(b1, b2, x) for x in args]
+        if direct(*args).coords != closed_form(b1, b2, *parts):
+            at = " ".join(f"{label}={x!r}" for label, x in zip(labels, args))
+            raise CheckFailure(f"{name} closed form disagrees at {at}", b1, b2)
 
 
 def _check_l31(rng, t, cfg):
-    field = cfg.field or FieldSpec.prime(3)
-    b1, b2 = _random_pair(rng, cfg, field)
-    bow = bowtie(b1, b2)
-    pairs = [
-        (bow.basis_element(i), bow.basis_element(j))
-        for i in range(bow.dim)
-        for j in range(bow.dim)
-    ]
-    pairs.append((_random_element(rng, bow), _random_element(rng, bow)))
-    for x, y in pairs:
-        direct = commutator(x, y).coords
-        closed = commutator_closed_form(b1, b2, _split(b1, b2, x), _split(b1, b2, y))
-        if direct != closed:
-            raise CheckFailure(
-                f"commutator closed form disagrees at x={x!r} y={y!r}\n"
-                + _describe(b1, b2)
-            )
+    _check_closed_form(rng, cfg, "commutator", commutator, commutator_closed_form, "xy")
 
 
 def _check_l61(rng, t, cfg):
-    field = cfg.field or FieldSpec.prime(3)
-    b1, b2 = _random_pair(rng, cfg, field)
-    bow = bowtie(b1, b2)
-    triples = [
-        (bow.basis_element(i), bow.basis_element(j), bow.basis_element(k))
-        for i in range(bow.dim)
-        for j in range(bow.dim)
-        for k in range(bow.dim)
-    ]
-    triples.append(
-        (
-            _random_element(rng, bow),
-            _random_element(rng, bow),
-            _random_element(rng, bow),
-        )
-    )
-    for x, y, z in triples:
-        direct = associator(x, y, z).coords
-        closed = associator_closed_form(
-            b1, b2, _split(b1, b2, x), _split(b1, b2, y), _split(b1, b2, z)
-        )
-        if direct != closed:
-            raise CheckFailure(
-                f"associator closed form disagrees at x={x!r} y={y!r} z={z!r}\n"
-                + _describe(b1, b2)
-            )
+    _check_closed_form(rng, cfg, "associator", associator, associator_closed_form, "xyz")
 
 
 def _check_p61(rng, t, cfg):
@@ -531,13 +498,13 @@ def _check_p61(rng, t, cfg):
     if character.bowtie_associative != law_on_product:
         raise CheckFailure(
             f"associativity={character.bowtie_associative} but scalar law="
-            f"{law_on_product}\n" + _describe(b1, b2)
+            f"{law_on_product}", b1, b2
         )
     both_factors = character.scalar_action_left and character.scalar_action_right
     if character.bowtie_associative != both_factors:
         raise CheckFailure(
             f"associativity={character.bowtie_associative} but factor laws="
-            f"{both_factors}\n" + _describe(b1, b2)
+            f"{both_factors}", b1, b2
         )
 
 
@@ -551,7 +518,7 @@ def _check_p62(rng, t, cfg):
     ):
         raise CheckFailure(
             f"associative={flags.associative} left_alt={flags.left_alternative} "
-            f"right_alt={flags.right_alternative}\n" + _describe(b1, b2)
+            f"right_alt={flags.right_alternative}", b1, b2
         )
 
 
@@ -614,7 +581,7 @@ def _check_c61(rng, t, cfg):
     b2 = scalar_action(field, _rand_rational_weights(rng, n2))
     bow = bowtie(b1, b2)
     if not property_flags(bow.algebra).associative:
-        raise CheckFailure("product of scalar-action factors is not associative\n" + _describe(b1, b2))
+        raise CheckFailure("product of scalar-action factors is not associative", b1, b2)
     result = classify_scalar_action(bow)
     if result is None:
         raise CheckFailure("associative product not recognized as scalar-action")
@@ -735,6 +702,8 @@ def check(
         raise UnknownProposition(f"unknown check id {proposition_id!r}")
     cfg = config or RunConfig()
     n = spec.default_trials if trials is None else trials
+    if n < 0:
+        raise ValueError(f"trials must be nonnegative, got {n}")
     failures = 0
     first = None
     for t in range(n):

@@ -16,19 +16,11 @@ from .algebra import Algebra, Element, change_basis, property_flags
 from .errors import (
     CharacteristicObstruction,
     DimensionMismatch,
-    EnumerationTooLarge,
     FieldNotFinite,
     WeightInvalid,
 )
 from .fields import FieldElement, FieldSpec
-from .linalg import (
-    Matrix,
-    Subspace,
-    enumeration_cap,
-    iter_vectors,
-    kernel_basis,
-    span,
-)
+from .linalg import Matrix, Subspace, iter_vectors, kernel_basis, row_times_matrix, span
 
 
 class Weight:
@@ -136,9 +128,6 @@ class BaricAlgebra:
     def basis_element(self, i: int) -> Element:
         return self.algebra.basis_element(i)
 
-    def weight_of(self, x: Element) -> FieldElement:
-        return self.weight(x)
-
     def kernel(self) -> Subspace:
         """Ker w as a canonical subspace (codimension one)."""
         rows = Matrix(self.field, [self.weight.coords], self.dim)
@@ -169,10 +158,6 @@ def enumerate_weights(algebra: Algebra, cap: int | None = None) -> list[Weight]:
     """
     if algebra.field.p is None:
         raise FieldNotFinite("weight enumeration needs a finite field")
-    if algebra.field.p**algebra.dim > enumeration_cap(cap):
-        raise EnumerationTooLarge(
-            f"{algebra.field.p}^{algebra.dim} exceeds the enumeration cap"
-        )
     found = []
     for coords in iter_vectors(algebra.field, algebra.dim, cap):
         w = Weight(algebra.field, coords)
@@ -271,8 +256,16 @@ def is_scalar_action(algebra: Algebra, weight: Weight) -> bool:
     return True
 
 
-def _scalar_power(field: FieldSpec, n: int) -> BaricAlgebra:
-    """The n-dimensional algebra with c[i,j,k] = 1{k=i} and all weights one."""
+def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
+    """The n-th bowtie power of the base field (left-associated).
+
+    Its structure constants are c[i,j,k] = 1{k=i} with all weights one;
+    iterating bowtie() over n copies of the one-dimensional baric algebra
+    produces exactly this table. It is the normal form of
+    classify_scalar_action.
+    """
+    if n < 1:
+        raise DimensionMismatch("the power needs at least one factor")
     one = field.one
     table = {(i, j, i): one for i in range(n) for j in range(n)}
     weight = Weight.ones(field, n)
@@ -296,7 +289,7 @@ def classify_scalar_action(b: BaricAlgebra) -> tuple[Matrix, BaricAlgebra] | Non
     if not is_scalar_action(b.algebra, b.weight):
         return None
     n = b.dim
-    target = _scalar_power(b.field, n)
+    target = kpow(b.field, n)
     if b.algebra == target.algebra and b.weight == target.weight:
         return Matrix.identity(b.field, n), target
     normalized, t = normalize_weight_one_basis(b)
@@ -323,12 +316,8 @@ def baric_isomorphic_by(f: Matrix, b1: BaricAlgebra, b2: BaricAlgebra) -> bool:
     for i in range(n):
         fi = f.row(i)
         for j in range(n):
-            image_of_product = [a1.field.zero] * n
-            for k, c in a1._by_pair.get((i, j), ()):
-                for l, fkl in enumerate(f.row(k)):
-                    if fkl:
-                        image_of_product[l] = image_of_product[l] + c * fkl
-            if a2.product_coords(fi, f.row(j)) != image_of_product:
+            image_of_product = row_times_matrix(a1.basis_product_coords(i, j), f)
+            if tuple(a2.product_coords(fi, f.row(j))) != image_of_product:
                 return False
     return True
 

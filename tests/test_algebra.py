@@ -14,7 +14,6 @@ from baric import (
     commutative_center,
     commutator,
     kpow,
-    multiply,
     property_flags,
 )
 from baric.catalog import dual_numbers, scalar_action
@@ -30,7 +29,6 @@ def test_multiply_examples():
     assert (x * k2.algebra.zero()).is_zero
     # apply the product law by hand: (1,2)(3,4) = (3+4)*(1,2)
     assert k2.element([1, 2]) * k2.element([3, 4]) == k2.element([7, 14])
-    assert multiply(k2.algebra, k2.element([1, 2]), k2.element([3, 4])) == k2.element([7, 14])
 
 
 def test_commutator_examples():

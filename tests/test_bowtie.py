@@ -41,10 +41,6 @@ F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 
 
-def _pair(b, x):
-    return split_element(b, x)
-
-
 def test_bowtie_structure_of_field_square():
     k2 = bowtie(kpow(Q, 1), kpow(Q, 1))
     assert k2.algebra.table == {(i, j, i): Q.one for i in range(2) for j in range(2)}
@@ -121,7 +117,7 @@ def test_commutator_closed_form_matches_direct():
             for x in elements:
                 for y in elements:
                     assert commutator(x, y).coords == commutator_closed_form(
-                        b1, b2, _pair(bow, x), _pair(bow, y)
+                        b1, b2, split_element(b1, b2, x), split_element(b1, b2, y)
                     )
 
 
@@ -146,7 +142,11 @@ def test_associator_closed_form_matches_direct():
             for y in elements:
                 for z in elements:
                     assert associator(x, y, z).coords == associator_closed_form(
-                        b1, b2, _pair(bow, x), _pair(bow, y), _pair(bow, z)
+                        b1,
+                        b2,
+                        split_element(b1, b2, x),
+                        split_element(b1, b2, y),
+                        split_element(b1, b2, z),
                     )
 
 

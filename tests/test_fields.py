@@ -59,6 +59,19 @@ def test_parse_scalar_examples():
     assert (F5.element(2) * F5.element(3)) == F5.one
 
 
+def test_fraction_coercion_into_prime_field():
+    from baric import Algebra, Weight
+
+    assert F5.element(Fraction(1, 2)) == parse_scalar("1/2", F5) == F5.element(3)
+    assert F5.element(Fraction(-7, 3)) == parse_scalar("-7/3", F5)
+    assert F5.element(Fraction(10, 1)) == F5.zero
+    with pytest.raises(DivisionByZero):
+        F5.element(Fraction(1, 5))
+    assert Weight(F5, [Fraction(1, 2), 1]).coords == (F5.element(3), F5.one)
+    a = Algebra(F5, 1, {(0, 0, 0): Fraction(3, 4)})
+    assert a.table == {(0, 0, 0): parse_scalar("3/4", F5)}
+
+
 def test_parse_scalar_errors():
     for bad in ("", "x", "1/2/3", "1.5", "2/-3", " 1"):
         with pytest.raises(ParseError):

@@ -59,6 +59,28 @@ def test_load_diagnostics():
         io.loads("not json")
 
 
+def test_load_refuses_json_booleans_as_integers(tmp_path, capsys):
+    bad_docs = [
+        dict(FIELD_SQUARE_DOC, dim=True, mul=[[0, 0, 0, "1"]], weight=["1"]),
+        dict(FIELD_SQUARE_DOC, mul=FIELD_SQUARE_DOC["mul"][:3] + [[True, True, True, "1"]]),
+        dict(FIELD_SQUARE_DOC, mul=[[0, 0, False, "1"]] + FIELD_SQUARE_DOC["mul"][1:]),
+    ]
+    for doc in bad_docs:
+        with pytest.raises(ParseError):
+            io.document_to_algebra(doc)
+    square = io.algebra_to_document(bowtie(kpow(Q, 1), kpow(Q, 1)))
+    square["provenance"]["bowtie"]["left"] = True
+    with pytest.raises(ParseError, match="provenance"):
+        io.document_to_algebra(square)
+    with pytest.raises(ParseError, match="ambient_dim"):
+        io.document_to_subspace({"field": {"kind": "rational"}, "ambient_dim": True, "vectors": [["1"]]})
+
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(bad_docs[1]), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "error=ParseError" in capsys.readouterr().err
+
+
 def test_provenance_round_trip_and_validation():
     dd = bowtie(dual_numbers(Q), dual_numbers(Q))
     text = io.dumps(dd)
@@ -241,6 +263,27 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
 
     missing = main(["check", str(tmp_path / "absent.json")])
     assert missing == 2
+
+
+def test_cli_division_by_zero_is_a_usage_error(tmp_path, capsys):
+    doc = dict(FIELD_SQUARE_DOC, mul=FIELD_SQUARE_DOC["mul"][:-1] + [[1, 1, 1, "1/0"]])
+    path = tmp_path / "div0.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "error=DivisionByZero" in capsys.readouterr().err
+
+    square = tmp_path / "square.json"
+    io.save(kpow(Q, 2), square)
+    assert main(["ideal", str(square), "--gens", "1/0,1"]) == 2
+    captured = capsys.readouterr()
+    assert "error=DivisionByZero" in captured.err and captured.out == ""
+
+
+def test_cli_negative_trials_exit_2(capsys):
+    assert main(["verify", "--props", "P2.1", "--trials", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error=ValueError" in captured.err
 
 
 def test_cli_usage_error_exit_code():

@@ -4,6 +4,7 @@ from baric import (
     FieldNotFinite,
     FieldSpec,
     PROPOSITION_IDS,
+    PropReport,
     RunConfig,
     UnknownProposition,
     check,
@@ -66,6 +67,23 @@ def test_random_rational_baric():
 def test_unknown_proposition():
     with pytest.raises(UnknownProposition):
         check("P9.9", trials=1)
+
+
+def test_negative_trials_rejected():
+    with pytest.raises(ValueError, match="trials"):
+        check("P2.1", trials=-3)
+    assert check("P2.1", trials=0) == PropReport("P2.1", 0, 0, 0)
+
+
+def test_check_failure_appends_factor_documents():
+    from baric import io
+    from baric.propcheck import CheckFailure
+
+    b1, b2 = random_baric(F3, 2, seed=1), random_baric(F3, 1, seed=2)
+    assert str(CheckFailure("plain")) == "plain"
+    assert str(CheckFailure("bad", b1, b2)) == (
+        "bad\nleft factor:\n" + io.dumps(b1) + "right factor:\n" + io.dumps(b2)
+    )
 
 
 def test_reports_are_replayable():
