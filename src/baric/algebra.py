@@ -53,10 +53,12 @@ class Algebra:
         self._hash = None
 
     # -- product machinery -------------------------------------------------
+    # The kernels compute on raw values: unreduced ints over F_p, Fractions
+    # (or ints) over Q. FieldSpec.wrap turns their output into elements.
 
-    def product_coords(self, x: Sequence[FieldElement], y: Sequence[FieldElement]) -> list[FieldElement]:
-        zero = self.field.zero
-        out = [zero] * self.dim
+    def times(self, x: Sequence, y: Sequence) -> list:
+        """Raw coordinates of x * y, from raw coordinates x and y."""
+        out = [0] * self.dim
         by_pair = self._by_pair
         for i, xi in enumerate(x):
             if not xi:
@@ -68,15 +70,22 @@ class Algebra:
                 if entries:
                     s = xi * yj
                     for k, c in entries:
-                        out[k] = out[k] + s * c
+                        out[k] += s * c.value
         return out
 
-    def basis_product_coords(self, i: int, j: int) -> list[FieldElement]:
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for k, c in self._by_pair.get((i, j), ()):
-            out[k] = c
+    def times_basis(self, v: Sequence, j: int, left: bool) -> list:
+        """Raw coordinates of e_j * v (left) or v * e_j, from raw coordinates v."""
+        out = [0] * self.dim
+        by_pair = self._by_pair
+        for i, vi in enumerate(v):
+            if vi:
+                for k, c in by_pair.get((j, i) if left else (i, j), ()):
+                    out[k] += vi * c.value
         return out
+
+    def product_coords(self, x: Sequence[FieldElement], y: Sequence[FieldElement]) -> list[FieldElement]:
+        raw = self.times([c.value for c in x], [c.value for c in y])
+        return list(self.field.wrap(raw))
 
     def element(self, coords: Sequence) -> "Element":
         return Element(self, tuple(self.field.element(c) for c in coords))
@@ -195,19 +204,16 @@ def _is_commutative(a: Algebra) -> bool:
 
 
 def _is_associative(a: Algebra) -> bool:
-    n = a.dim
-    singles = Matrix.identity(a.field, n).rows
-    pair_products = {}
+    # (e_i e_j) e_k = e_i (e_j e_k) on every basis triple
+    n, wrap = a.dim, a.field.wrap
+    units = [[int(m == i) for m in range(n)] for i in range(n)]
+    pairs = [[a.times_basis(e, j, left=False) for j in range(n)] for e in units]
     for i in range(n):
         for j in range(n):
-            pair_products[(i, j)] = a.basis_product_coords(i, j)
-    for i in range(n):
-        for j in range(n):
-            left = pair_products[(i, j)]
             for k in range(n):
-                lhs = a.product_coords(left, singles[k])
-                rhs = a.product_coords(singles[i], pair_products[(j, k)])
-                if lhs != rhs:
+                lhs = a.times_basis(pairs[i][j], k, left=False)
+                rhs = a.times_basis(pairs[j][k], i, left=True)
+                if wrap(lhs) != wrap(rhs):
                     return False
     return True
 
@@ -217,27 +223,21 @@ def _alternative(a: Algebra, left: bool) -> bool:
     # checking it on e_i and on e_i + e_j for i < j is complete over every
     # field, including characteristic 2 where the polarized identity alone
     # is weaker.
-    n = a.dim
-    singles = Matrix.identity(a.field, n).rows
-    doubled = {}
+    n, wrap = a.dim, a.field.wrap
     for i in range(n):
-        for j in range(i + 1, n):
-            v = list(singles[i])
-            v[j] = a.field.one
-            doubled[(i, j)] = v
-    repeats = list(singles) + list(doubled.values())
-    for v in repeats:
-        vv = a.product_coords(v, v)
-        for k in range(n):
-            w = singles[k]
-            if left:
-                lhs = a.product_coords(vv, w)
-                rhs = a.product_coords(v, a.product_coords(v, w))
-            else:
-                lhs = a.product_coords(w, vv)
-                rhs = a.product_coords(a.product_coords(w, v), v)
-            if lhs != rhs:
-                return False
+        for j in range(i, n):
+            v = [0] * n
+            v[i] = v[j] = 1  # e_i when j == i, else e_i + e_j
+            vv = a.times(v, v)
+            for k in range(n):
+                if left:  # (v v) e_k = v (v e_k)
+                    lhs = a.times_basis(vv, k, left=False)
+                    rhs = a.times(v, a.times_basis(v, k, left=False))
+                else:  # e_k (v v) = (e_k v) v
+                    lhs = a.times_basis(vv, k, left=True)
+                    rhs = a.times(a.times_basis(v, k, left=True), v)
+                if wrap(lhs) != wrap(rhs):
+                    return False
     return True
 
 

@@ -7,7 +7,7 @@ from typing import Sequence
 from .algebra import Algebra
 from .errors import WeightInvalid
 from .fields import FieldSpec
-from .weights import BaricAlgebra, Weight
+from .weights import BaricAlgebra, Weight, scalar_action_table
 
 
 def truncated_polynomials(field: FieldSpec, n: int) -> BaricAlgebra:
@@ -24,13 +24,11 @@ def dual_numbers(field: FieldSpec) -> BaricAlgebra:
     return truncated_polynomials(field, 2)
 
 
-def componentwise(field: FieldSpec, n: int, weight_index: int = 0) -> BaricAlgebra:
-    """K^n with the componentwise product; the weight picks one coordinate."""
+def componentwise(field: FieldSpec, n: int) -> BaricAlgebra:
+    """K^n with the componentwise product; the weight picks the first coordinate."""
     one = field.one
     table = {(i, i, i): one for i in range(n)}
-    coords = [0] * n
-    coords[weight_index] = 1
-    return BaricAlgebra(Algebra(field, n, table), Weight(field, coords))
+    return BaricAlgebra(Algebra(field, n, table), Weight(field, [1] + [0] * (n - 1)))
 
 
 def group_algebra_z2(field: FieldSpec) -> BaricAlgebra:
@@ -45,8 +43,4 @@ def scalar_action(field: FieldSpec, weights: Sequence) -> BaricAlgebra:
     w = Weight(field, weights)
     if not w.is_nonzero:
         raise WeightInvalid("scalar-action weight must be nonzero")
-    n = len(w)
-    table = {
-        (i, j, i): wj for i in range(n) for j, wj in enumerate(w.coords) if wj
-    }
-    return BaricAlgebra(Algebra(field, n, table), w)
+    return BaricAlgebra(Algebra(field, len(w), scalar_action_table(w)), w)

@@ -120,6 +120,24 @@ class FieldSpec:
             return table[value]
         return FieldElement._raw(self, value)
 
+    def wrap(self, values) -> tuple["FieldElement", ...]:
+        """FieldElements for raw values: ints reduced mod p, or rationals.
+
+        Raw values are what the inner loops compute on: unreduced ints over
+        F_p and Fractions (or ints) over Q.
+        """
+        p = self.p
+        if p is None:
+            zero = self.zero
+            return tuple([
+                FieldElement._raw(self, v if type(v) is Fraction else Fraction(v)) if v else zero
+                for v in values
+            ])
+        table = self._interned()
+        if table is not None:
+            return tuple([table[v % p] for v in values])
+        return tuple([FieldElement._raw(self, v % p) for v in values])
+
     def element(self, value) -> "FieldElement":
         """Coerce an int, Fraction, string or FieldElement into this field."""
         if isinstance(value, FieldElement):
@@ -159,17 +177,9 @@ class FieldSpec:
 
 
 class FieldElement:
-    """A scalar in canonical form, tied to its FieldSpec."""
+    """A scalar in canonical form, tied to its FieldSpec; built by FieldSpec.element or wrap."""
 
     __slots__ = ("field", "value")
-
-    def __new__(cls, field: FieldSpec, value) -> "FieldElement":
-        if field.p is None:
-            self = object.__new__(cls)
-            self.field = field
-            self.value = value if type(value) is Fraction else Fraction(value)
-            return self
-        return field._make(_as_int(value) % field.p)
 
     @classmethod
     def _raw(cls, field: FieldSpec, value) -> "FieldElement":

@@ -9,6 +9,10 @@ Exhaustive decisions (ideal lattices, decomposability) are only offered
 over prime fields, where subspace enumeration is finite; over the
 rationals the same questions are answered relative to supplied
 candidates, or reported as undecided.
+
+The module keeps no arithmetic of its own: images of basis vectors come
+from Algebra.times_basis and membership from linalg.raw_residue, both on
+raw values (int residues over F_p, Fractions over Q).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     DimensionMismatch,
     FactorsNotCommutativeUnital,
 )
-from .linalg import Subspace, _pivot_col, enumerate_subspaces, span
+from .linalg import Subspace, enumerate_subspaces, raw_residue, span
 from .weights import BaricAlgebra, find_weight_one_idempotents
 
 
@@ -41,39 +45,16 @@ class Ideal:
     sided: Sided
 
 
-def _times_basis(a: Algebra, v: Sequence, j: int, left: bool) -> list:
-    """Raw coordinates of e_j * v (left) or v * e_j, from raw coordinates v.
-
-    Entries are unreduced ints over F_p and Fractions over Q.
-    """
-    out = [0] * a.dim
-    by_pair = a._by_pair
-    for i, vi in enumerate(v):
-        if vi:
-            for k, c in by_pair.get((j, i) if left else (i, j), ()):
-                out[k] += vi * c.value
-    return out
-
-
 def _closed(a: Algebra, s: Subspace, left: bool) -> bool:
     """Is s closed under e_j * v (left) or v * e_j for every basis vector e_j?
 
-    Each image is reduced against the RREF rows of s at their pivot
-    columns; s is closed when every image reduces to zero.
+    Each image of a basis row of s must reduce to zero against those rows.
     """
     p = a.field.p
-    rows = [[x.value for x in row] for row in s.basis]
-    reducers = [(row, _pivot_col(row)) for row in rows]
-    for v in rows:
+    echelon = s.raw_echelon()
+    for v, _ in echelon:
         for j in range(a.dim):
-            image = _times_basis(a, v, j, left)
-            for row, pc in reducers:
-                coeff = image[pc]
-                if coeff:
-                    image = [x - coeff * y for x, y in zip(image, row)]
-            if p is not None:
-                image = [x % p for x in image]
-            if any(image):
+            if any(raw_residue(p, echelon, a.times_basis(v, j, left))):
                 return False
     return True
 
@@ -116,7 +97,7 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
         v = [x.value for x in pending.pop()]
         for j in range(a.dim):
             for left in sides:
-                w = tuple(field.element(x) for x in _times_basis(a, v, j, left))
+                w = field.wrap(a.times_basis(v, j, left))
                 if not current.contains_vector(w):
                     current = span(field, a.dim, current.basis + (w,))
                     pending.append(w)
@@ -258,7 +239,6 @@ class Decomposability:
 def decomposability(
     b: BaricAlgebra,
     cap: int | None = None,
-    idempotent_candidates: Sequence[Element] = (),
     ideal_candidate_basis: Sequence[Element] | None = None,
 ) -> Decomposability:
     """Split Ker w into two nonzero ideals, if possible.
@@ -270,9 +250,7 @@ def decomposability(
     `ideal_candidate_basis` are tried, and the outcome is UNDECIDED when
     no witness pair turns up.
     """
-    idems = find_weight_one_idempotents(
-        b, cap, candidates=idempotent_candidates, limit=1
-    )
+    idems = find_weight_one_idempotents(b, cap, limit=1)
     if not idems:
         return Decomposability(DecompOutcome.NO_WEIGHT1_IDEMPOTENT)
     idem = idems[0]

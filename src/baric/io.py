@@ -23,7 +23,8 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra
-from .errors import DuplicateTriple, ParseError
+from .bowtie import bowtie, factors
+from .errors import DuplicateTriple, ParseError, WeightInvalid
 from .fields import FieldSpec, parse_scalar
 from .linalg import Subspace, span
 from .weights import BaricAlgebra, BowtieTag, Weight
@@ -129,58 +130,35 @@ def document_to_algebra(doc) -> BaricAlgebra:
             raise ParseError(f"weight[{pos}]: {exc}") from exc
     weight = Weight(field, coords)
 
-    # the weight is validated before the provenance, and only once
+    # the weight is validated before the provenance is read
     b = BaricAlgebra(Algebra(field, dim, table, names), weight)
     prov = doc.get("provenance")
     if prov is not None:
-        b.provenance = _tag_from_json(prov, b.algebra, weight)
+        _read_provenance(prov, b)
     return b
 
 
-def _tag_from_json(prov, algebra: Algebra, weight: Weight) -> BowtieTag:
+def _read_provenance(prov, b: BaricAlgebra) -> None:
+    """Tag b with its bowtie split, once the product of its blocks rebuilds b."""
     if not (isinstance(prov, dict) and isinstance(prov.get("bowtie"), dict)):
         raise ParseError("provenance: expected {'bowtie': {'left': int, 'right': int}}")
     split = prov["bowtie"]
     n1, n2 = split.get("left"), split.get("right")
     if not (_is_index(n1) and _is_index(n2) and n1 >= 1 and n2 >= 1):
         raise ParseError("provenance: block dimensions must be positive integers")
-    if n1 + n2 != algebra.dim:
-        raise ParseError(
-            f"provenance: blocks {n1}+{n2} do not sum to dim {algebra.dim}"
-        )
-    w1 = Weight(algebra.field, weight.coords[:n1])
-    w2 = Weight(algebra.field, weight.coords[n1:])
+    if n1 + n2 != b.dim:
+        raise ParseError(f"provenance: blocks {n1}+{n2} do not sum to dim {b.dim}")
+    w1 = Weight(b.field, b.weight.coords[:n1])
+    w2 = Weight(b.field, b.weight.coords[n1:])
     if not (w1.is_nonzero and w2.is_nonzero):
         raise ParseError("provenance: a factor weight block is zero")
-    if not _blocks_match_product_law(algebra, n1, w1, w2):
+    b.provenance = BowtieTag(n1, n2, w1, w2)
+    try:
+        rebuilt = bowtie(*factors(b)).algebra
+    except WeightInvalid:  # a factor block's weight is not multiplicative
+        rebuilt = None
+    if rebuilt != b.algebra:
         raise ParseError("provenance: multiplication table is not a bowtie product")
-    return BowtieTag(n1, n2, w1, w2)
-
-
-def _blocks_match_product_law(algebra: Algebra, n1: int, w1: Weight, w2: Weight) -> bool:
-    """Cross-block constants must read (e_i, 0)(0, f_j) = w2(f_j) (e_i, 0), etc."""
-    n = algebra.dim
-    expected = {}
-    for (i, j, k), v in algebra.table.items():
-        li, lj, lk = i < n1, j < n1, k < n1
-        if li and lj:
-            if not lk:
-                return False
-        elif not li and not lj:
-            if lk:
-                return False
-        elif li and not lj:
-            if k != i or v != w2.coords[j - n1]:
-                return False
-            expected[(i, j)] = True
-        else:
-            if k != i or v != w1.coords[j]:
-                return False
-            expected[(i, j)] = True
-    nonzero_w1 = sum(1 for c in w1.coords if c)
-    nonzero_w2 = sum(1 for c in w2.coords if c)
-    want = n1 * nonzero_w2 + (n - n1) * nonzero_w1
-    return len(expected) == want
 
 
 def dumps(b: BaricAlgebra) -> str:

@@ -257,16 +257,15 @@ class Subspace:
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         return span(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
 
+    def raw_echelon(self) -> list[tuple[list, int]]:
+        """The basis rows as raw values, each with its pivot column."""
+        rows = [[x.value for x in row] for row in self.basis]
+        return [(row, _pivot_col(row)) for row in rows]
+
     def contains_vector(self, v: Sequence[FieldElement]) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"vector of length {len(v)} in dim {self.ambient_dim}")
-        residue = list(v)
-        for row in self.basis:
-            pivot = _pivot_col(row)
-            coeff = residue[pivot]
-            if coeff:
-                residue = [a - coeff * b for a, b in zip(residue, row)]
-        return not any(residue)
+        return not any(raw_residue(self.field.p, self.raw_echelon(), [x.value for x in v]))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
@@ -313,11 +312,27 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim}: {rows})"
 
 
-def _pivot_col(row: Row) -> int:
+def _pivot_col(row: Sequence) -> int:
     for j, x in enumerate(row):
         if x:
             return j
     raise ValueError("zero row has no pivot")
+
+
+def raw_residue(p: int | None, echelon: Sequence[tuple[list, int]], v: list) -> list:
+    """Raw vector v reduced against raw RREF rows at their pivot columns.
+
+    `echelon` holds (row, pivot column) pairs as from Subspace.raw_echelon;
+    v lies in their span exactly when the residue is zero. Over F_p the
+    residue is returned reduced mod p.
+    """
+    for row, pc in echelon:
+        coeff = v[pc]
+        if coeff:
+            v = [x - coeff * y for x, y in zip(v, row)]
+    if p is not None:
+        v = [x % p for x in v]
+    return v
 
 
 def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence[FieldElement]]) -> Subspace:
@@ -365,9 +380,10 @@ def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[S
     deduplication. Each subspace is C @ B for the ambient's basis B; the
     product of two reduced-echelon matrices is reduced-echelon (B's pivot
     columns are unit vectors, so they copy C's), hence already canonical.
-    The arithmetic runs on int residues; entries become FieldElements only
-    when a subspace is yielded. Requires a finite field, and the cap bounds
-    the number of subspaces visited, subspace_count(p, dim(ambient)).
+    The arithmetic runs on int residues; FieldSpec.wrap turns them into
+    FieldElements when a subspace is yielded. Requires a finite field, and
+    the cap bounds the number of subspaces visited, subspace_count(p,
+    dim(ambient)).
     """
     field = ambient.field
     p = field.p
@@ -380,8 +396,6 @@ def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[S
             f"F_{p}^{d} has {total} subspaces, more than the enumeration cap"
         )
     n = ambient.ambient_dim
-    table = field._interned()  # None above the interning limit
-    make = field._make if table is None else table.__getitem__
     dense = [[x.value for x in row] for row in ambient.basis]
     sparse = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
     for k in range(d + 1):
@@ -401,6 +415,4 @@ def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[S
                         row = rows[r]
                         for j, bj in sparse[c]:
                             row[j] += val * bj
-                yield Subspace(
-                    field, n, tuple(tuple([make(x % p) for x in row]) for row in rows)
-                )
+                yield Subspace(field, n, tuple([field.wrap(row) for row in rows]))

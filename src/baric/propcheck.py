@@ -39,6 +39,7 @@ from .bowtie import (
     associator_closed_form,
     bowtie,
     commutator_closed_form,
+    embed,
     idempotent_family,
     split_element,
     structural_isos,
@@ -51,7 +52,7 @@ from .catalog import (
     scalar_action,
     truncated_polynomials,
 )
-from .errors import FieldNotFinite, UnknownProposition
+from .errors import DimensionMismatch, FieldNotFinite, UnknownProposition
 from .fields import FieldSpec
 from .ideals import (
     DecompOutcome,
@@ -180,14 +181,17 @@ def random_baric(
     return BaricAlgebra(Algebra(field, dim, table), Weight(field, w))
 
 
-def random_rational_baric(dim: int, weight, seed: int = 0, magnitude: int = 2) -> BaricAlgebra:
+def random_rational_baric(dim: int, weight, seed: int = 0) -> BaricAlgebra:
     """A valid random baric algebra over the rationals with the given weight.
 
-    Same pivot construction as random_baric; the leading weight
-    coordinate must be nonzero so the leading coefficient can be solved.
+    Same pivot construction as random_baric, with free constants drawn
+    from -2..2; the leading weight coordinate must be nonzero so the
+    leading coefficient can be solved.
     """
     field = FieldSpec.rationals()
     w = Weight(field, weight)
+    if len(w) != dim:
+        raise DimensionMismatch(f"weight of length {len(w)} for dim {dim}")
     if not w.coords[0]:
         raise ValueError("leading weight coordinate must be nonzero")
     rng = random.Random(seed)
@@ -195,27 +199,27 @@ def random_rational_baric(dim: int, weight, seed: int = 0, magnitude: int = 2) -
     table = _pivot_table(
         dim,
         values,
-        lambda: Fraction(rng.randint(-magnitude, magnitude)),
+        lambda: Fraction(rng.randint(-2, 2)),
         lambda r: r / values[0],
     )
     return BaricAlgebra(Algebra(field, dim, table), w)
 
 
-def _associative_generator(field: FieldSpec, rng: random.Random, max_dim: int = 3) -> BaricAlgebra:
+def _associative_generator(field: FieldSpec, rng: random.Random) -> BaricAlgebra:
     kind = rng.randrange(6)
     if kind == 0:
-        return kpow(field, rng.randint(1, max_dim))
+        return kpow(field, rng.randint(1, 3))
     if kind == 1:
-        coords = [rng.randrange(field.p) for _ in range(rng.randint(1, max_dim))]
+        coords = [rng.randrange(field.p) for _ in range(rng.randint(1, 3))]
         if not any(coords):
             coords[0] = 1
         return scalar_action(field, coords)
     if kind == 2:
         return dual_numbers(field)
     if kind == 3:
-        return truncated_polynomials(field, min(3, max_dim) if max_dim >= 2 else 2)
+        return truncated_polynomials(field, 3)
     if kind == 4:
-        return componentwise(field, rng.randint(1, max_dim))
+        return componentwise(field, rng.randint(1, 3))
     return group_algebra_z2(field)
 
 
@@ -363,16 +367,11 @@ def _check_c41(rng, t, cfg):
     field = _field_for(cfg, rng)
     b1, b2 = _bounded_pair(rng, cfg, field, 3, 6)
     bow = bowtie(b1, b2)
-    zero = field.zero
-    for fac, lo in ((b1, 0), (b2, b1.dim)):
+    for side, fac, lo in (("left", b1, 0), ("right", b2, b1.dim)):
         for i in range(fac.dim):
             for j in range(fac.dim):
-                image = [zero] * bow.dim
-                for k, v in enumerate(fac.algebra.basis_product_coords(i, j)):
-                    image[lo + k] = v
-                ei = bow.basis_element(lo + i)
-                ej = bow.basis_element(lo + j)
-                if (ei * ej).coords != tuple(image):
+                image = embed(bow, side, fac.basis_element(i) * fac.basis_element(j))
+                if (bow.basis_element(lo + i) * bow.basis_element(lo + j)).coords != image.coords:
                     raise CheckFailure("embedding is not multiplicative", b1, b2)
             if bow.weight.coords[lo + i] != fac.weight.coords[i]:
                 raise CheckFailure("embedding does not preserve weight", b1, b2)

@@ -242,18 +242,17 @@ def normalize_weight_one_basis(b: BaricAlgebra) -> tuple[BaricAlgebra, Matrix]:
     return BaricAlgebra(new_algebra, new_weight), t
 
 
+def scalar_action_table(weight: Weight) -> dict:
+    """Structure constants of the law x*y = w(y)*x: c[i,j,k] = w_j 1{k=i}, zeros left out."""
+    n = len(weight)
+    return {(i, j, i): wj for i in range(n) for j, wj in enumerate(weight.coords) if wj}
+
+
 def is_scalar_action(algebra: Algebra, weight: Weight) -> bool:
-    """Basis-level test for the law x*y = w(y)*x: c[i,j,k] = w_j 1{k=i}."""
-    w = weight.coords
-    if len(w) != algebra.dim:
+    """Basis-level test for the law x*y = w(y)*x."""
+    if len(weight) != algebra.dim:
         raise DimensionMismatch("weight length does not match the algebra dimension")
-    expected = algebra.dim * sum(1 for wj in w if wj)
-    if len(algebra.table) != expected:
-        return False
-    for (i, j, k), v in algebra.table.items():
-        if k != i or v != w[j]:
-            return False
-    return True
+    return algebra.table == scalar_action_table(weight)
 
 
 def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
@@ -266,13 +265,11 @@ def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
     """
     if n < 1:
         raise DimensionMismatch("the power needs at least one factor")
-    one = field.one
-    table = {(i, j, i): one for i in range(n) for j in range(n)}
     weight = Weight.ones(field, n)
     tag = None
     if n >= 2:
         tag = BowtieTag(n - 1, 1, Weight.ones(field, n - 1), Weight.ones(field, 1))
-    return BaricAlgebra(Algebra(field, n, table), weight, tag)
+    return BaricAlgebra(Algebra(field, n, scalar_action_table(weight)), weight, tag)
 
 
 def classify_scalar_action(b: BaricAlgebra) -> tuple[Matrix, BaricAlgebra] | None:
@@ -313,27 +310,24 @@ def baric_isomorphic_by(f: Matrix, b1: BaricAlgebra, b2: BaricAlgebra) -> bool:
     for i in range(n):
         if b2.weight(f.row(i)) != b1.weight.coords[i]:
             return False
+    units = Matrix.identity(a1.field, n).rows
     for i in range(n):
         fi = f.row(i)
         for j in range(n):
-            image_of_product = row_times_matrix(a1.basis_product_coords(i, j), f)
+            image_of_product = row_times_matrix(a1.product_coords(units[i], units[j]), f)
             if tuple(a2.product_coords(fi, f.row(j))) != image_of_product:
                 return False
     return True
 
 
 def find_weight_one_idempotents(
-    b: BaricAlgebra,
-    cap: int | None = None,
-    candidates: Sequence[Element] = (),
-    limit: int | None = None,
+    b: BaricAlgebra, cap: int | None = None, limit: int | None = None
 ) -> list[Element]:
     """Idempotents of weight one.
 
     Over a prime field the search is exhaustive over all p^n elements
     (subject to the enumeration cap). Over the rationals only the basis
-    vectors, the unit if one exists, and the supplied candidates are
-    examined.
+    vectors and the unit, if one exists, are examined.
     """
     found: list[Element] = []
     seen = set()
@@ -357,7 +351,6 @@ def find_weight_one_idempotents(
         unit = property_flags(b.algebra).unit
         if unit is not None:
             pool.append(unit)
-        pool.extend(candidates)
         for x in pool:
             consider(x)
             if limit is not None and len(found) >= limit:

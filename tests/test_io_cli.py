@@ -99,6 +99,25 @@ def test_provenance_round_trip_and_validation():
     with pytest.raises(ParseError, match="provenance"):
         io.document_to_algebra(plain)
 
+    # Each tampering keeps w = (1, 0, 1, 0) multiplicative, so only the
+    # provenance check can refuse it.
+    tampered = {
+        # cross block: (e_0, 0)(0, f_0) also picks up e_1
+        "cross": lambda mul: mul.append([0, 2, 1, "1"]),
+        # wrong block: e_0 e_0 gains a term in the kernel of the right factor
+        "extra": lambda mul: mul.append([0, 0, 3, "1"]),
+        # wrong block: e_0 e_0 lands on f_0, so the left factor's weight fails
+        "moved": lambda mul: mul.__setitem__(0, [0, 0, 2, "1"]),
+    }
+    for name, tamper in tampered.items():
+        doc = io.algebra_to_document(dd)
+        assert doc["mul"][0] == [0, 0, 0, "1"]
+        tamper(doc["mul"])
+        with pytest.raises(ParseError, match="not a bowtie product"):
+            io.document_to_algebra(doc)
+        del doc["provenance"]
+        assert io.document_to_algebra(doc).dim == 4, name
+
 
 def test_save_load_save_is_byte_identical(tmp_path):
     cases = [

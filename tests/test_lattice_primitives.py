@@ -1,10 +1,14 @@
-"""Differential tests for the raw-residue lattice primitives.
+"""Differential tests for the raw-value kernels.
 
-`enumerate_subspaces`, `sidedness`, `is_two_sided_ideal` and
-`ideal_closure` compute on raw residues internally. Each is compared here
-with a construction written in FieldElement arithmetic through the public
-linear algebra: `span` of rows mapped by `row_times_matrix`, and
-`product_coords` images tested with `contains_vector`.
+`enumerate_subspaces`, `sidedness`, `is_two_sided_ideal`,
+`ideal_closure`, `product_coords` and the associativity and
+alternativity flags of `property_flags` compute on raw values (int
+residues, Fractions) internally. Each is compared here with a
+construction written in FieldElement arithmetic that shares none of
+those kernels: `span` of rows mapped by `row_times_matrix`; products as
+the triple sum over the structure constants `a.table`; membership as
+"adding the vector to the basis leaves the `span` dimension unchanged";
+and, over F_2, the algebra identities checked on every element.
 """
 
 import random
@@ -28,6 +32,7 @@ from baric import (
     is_two_sided_ideal,
     kernel_ideals,
     kpow,
+    property_flags,
     sidedness,
     span,
     span_of,
@@ -76,15 +81,27 @@ def _random_vectors(rng, field, n, count):
     return [[draw() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(count)]
 
 
-def _random_algebra(rng, field, n):
+def _random_algebra(rng, field, n, density=0.3):
     """Sparse random structure constants, so that small ideals occur."""
     table = {}
     for (i, j, k), (c,) in zip(
         product(range(n), repeat=3), _random_vectors(rng, field, 1, n**3)
     ):
-        if rng.random() < 0.3:
+        if rng.random() < density:
             table[(i, j, k)] = c
     return Algebra(field, n, table)
+
+
+def reference_product(a: Algebra, x, y) -> tuple:
+    """x * y as the triple sum over the structure constants."""
+    out = [a.field.zero] * a.dim
+    for (i, j, k), c in a.table.items():
+        out[k] = out[k] + x[i] * y[j] * c
+    return tuple(out)
+
+
+def reference_contains(s: Subspace, v) -> bool:
+    return span(s.field, s.ambient_dim, s.basis + (tuple(v),)).dim == s.dim
 
 
 def reference_sidedness(a: Algebra, s: Subspace) -> Sided:
@@ -92,8 +109,8 @@ def reference_sidedness(a: Algebra, s: Subspace) -> Sided:
         for v in s.basis:
             for j in range(a.dim):
                 e = a.basis_element(j).coords
-                image = a.product_coords(e, v) if left else a.product_coords(v, e)
-                if not s.contains_vector(image):
+                image = reference_product(a, e, v) if left else reference_product(a, v, e)
+                if not reference_contains(s, image):
                     return False
         return True
 
@@ -110,9 +127,9 @@ def reference_closure(a: Algebra, gens, side: Sided) -> Subspace:
         for v in current.basis:
             for j in range(a.dim):
                 e = a.basis_element(j).coords
-                vectors.append(a.product_coords(v, e))
+                vectors.append(reference_product(a, v, e))
                 if side is Sided.TWO_SIDED:
-                    vectors.append(a.product_coords(e, v))
+                    vectors.append(reference_product(a, e, v))
         grown = span(a.field, a.dim, vectors)
         if grown == current:
             return current
@@ -170,6 +187,53 @@ def test_sidedness_matches_reference(field, n, scalar, seed):
         expected = reference_sidedness(a, s)
         assert sidedness(a, s) is expected
         assert is_two_sided_ideal(a, s) == (expected is Sided.TWO_SIDED)
+
+
+@st.composite
+def small_algebras(draw, fields):
+    """Sparse random tensors of dim <= 4, with associative families mixed in."""
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "scalar", "chain"]))
+    if kind == "scalar":
+        return scalar_action(field, [rng.randrange(2) for _ in range(n - 1)] + [1]).algebra
+    if kind == "chain":
+        return truncated_polynomials(field, n).algebra
+    return _random_algebra(rng, field, n, draw(st.sampled_from([0.1, 0.2, 0.3])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras([F2, F3, Q]), st.integers(0, 10_000))
+def test_product_matches_triple_sum(a, seed):
+    rng = random.Random(seed)
+    x, y = (a.element(v).coords for v in _random_vectors(rng, a.field, a.dim, 2))
+    assert a.product_coords(x, y) == list(reference_product(a, x, y))
+    units = [a.basis_element(i).coords for i in range(a.dim)]
+    for e in units:
+        for f in units:
+            assert a.product_coords(e, f) == list(reference_product(a, e, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras([F2]))
+def test_identity_flags_match_every_element_over_f2(a):
+    elements = [tuple(v) for v in product(F2.elements(), repeat=a.dim)]
+    mul = {(x, y): reference_product(a, x, y) for x in elements for y in elements}
+    associative = all(
+        mul[mul[x, y], z] == mul[x, mul[y, z]]
+        for x in elements
+        for y in elements
+        for z in elements
+    )
+    left = all(mul[mul[x, x], y] == mul[x, mul[x, y]] for x in elements for y in elements)
+    right = all(mul[y, mul[x, x]] == mul[mul[y, x], x] for x in elements for y in elements)
+    flags = property_flags(a)
+    assert (flags.associative, flags.left_alternative, flags.right_alternative) == (
+        associative,
+        left,
+        right,
+    )
 
 
 def test_closure_spins_to_the_fixpoint():

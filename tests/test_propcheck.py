@@ -1,6 +1,7 @@
 import pytest
 
 from baric import (
+    DimensionMismatch,
     FieldNotFinite,
     FieldSpec,
     PROPOSITION_IDS,
@@ -62,6 +63,9 @@ def test_random_rational_baric():
         assert validate_weight(b.algebra, b.weight)
     with pytest.raises(ValueError):
         random_rational_baric(2, [0, 1], seed=0)
+    for weight in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(DimensionMismatch):
+            random_rational_baric(3, weight, seed=0)
 
 
 def test_unknown_proposition():
