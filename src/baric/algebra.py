@@ -38,9 +38,10 @@ class Algebra:
             fe = field.element(v)
             if fe:
                 clean[(i, j, k)] = fe
-        by_pair: dict[tuple[int, int], tuple[tuple[int, FieldElement], ...]] = {}
+        # raw values (int residues, Fractions) for the kernels below
+        by_pair: dict[tuple[int, int], list[tuple[int, object]]] = {}
         for (i, j, k), fe in sorted(clean.items()):
-            by_pair.setdefault((i, j), []).append((k, fe))
+            by_pair.setdefault((i, j), []).append((k, fe.value))
         if basis_names is not None:
             basis_names = tuple(basis_names)
             if len(basis_names) != dim:
@@ -70,7 +71,7 @@ class Algebra:
                 if entries:
                     s = xi * yj
                     for k, c in entries:
-                        out[k] += s * c.value
+                        out[k] += s * c
         return out
 
     def times_basis(self, v: Sequence, j: int, left: bool) -> list:
@@ -80,8 +81,17 @@ class Algebra:
         for i, vi in enumerate(v):
             if vi:
                 for k, c in by_pair.get((j, i) if left else (i, j), ()):
-                    out[k] += vi * c.value
+                    out[k] += vi * c
         return out
+
+    def raw_commutator(self, x: Sequence, y: Sequence) -> list:
+        """Raw coordinates of [x, y] = xy - yx, from raw coordinates."""
+        return [s - t for s, t in zip(self.times(x, y), self.times(y, x))]
+
+    def raw_associator(self, x: Sequence, y: Sequence, z: Sequence) -> list:
+        """Raw coordinates of (x, y, z) = (xy)z - x(yz), from raw coordinates."""
+        times = self.times
+        return [s - t for s, t in zip(times(times(x, y), z), times(x, times(y, z)))]
 
     def product_coords(self, x: Sequence[FieldElement], y: Sequence[FieldElement]) -> list[FieldElement]:
         raw = self.times([c.value for c in x], [c.value for c in y])
@@ -131,6 +141,11 @@ class Element:
         self.algebra = algebra
         self.coords = coords
 
+    @property
+    def values(self) -> list:
+        """The coordinates as raw values: int residues over F_p, Fractions over Q."""
+        return [c.value for c in self.coords]
+
     def _check(self, other: "Element") -> None:
         if not isinstance(other, Element):
             raise TypeError(f"expected Element, got {type(other).__name__}")
@@ -178,12 +193,17 @@ class Element:
 
 def commutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - yx."""
-    return x * y - y * x
+    x._check(y)
+    a = x.algebra
+    return Element(a, a.field.wrap(a.raw_commutator(x.values, y.values)))
 
 
 def associator(x: Element, y: Element, z: Element) -> Element:
     """(x, y, z) = (xy)z - x(yz)."""
-    return (x * y) * z - x * (y * z)
+    x._check(y)
+    x._check(z)
+    a = x.algebra
+    return Element(a, a.field.wrap(a.raw_associator(x.values, y.values, z.values)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, commutator, property_flags
+from .algebra import Algebra, Element, property_flags
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -148,16 +148,29 @@ def commutator_closed_form(
         ([a1, c1] + w2(c2) a1 - w2(a2) c1,
          [a2, c2] + w1(c1) a2 - w1(a1) c2)
 
-    returned as concatenated coordinates.
+    returned as concatenated coordinates. The arithmetic runs on raw
+    values, with the products taken in each component's own algebra and
+    the weights read from the factors; one FieldSpec.wrap makes the result.
     """
     a1, a2 = x
     c1, c2 = y
     _check_pair(b1, b2, a1, a2)
     _check_pair(b1, b2, c1, c2)
+    a1._check(c1)
+    a2._check(c2)
+    _check_fields(b1, b2, a1, a2)
     w1, w2 = b1.weight, b2.weight
-    left = commutator(a1, c1) + a1.scaled(w2(c2)) - c1.scaled(w2(a2))
-    right = commutator(a2, c2) + a2.scaled(w1(c1)) - c2.scaled(w1(a1))
-    return left.coords + right.coords
+    a1v, a2v, c1v, c2v = a1.values, a2.values, c1.values, c2.values
+    raw = _commutator_part(a1.algebra, a1v, c1v, w2.at(c2v), w2.at(a2v))
+    raw += _commutator_part(a2.algebra, a2v, c2v, w1.at(c1v), w1.at(a1v))
+    return b1.field.wrap(raw)
+
+
+def _commutator_part(algebra: Algebra, av: list, cv: list, wc, wa) -> list:
+    """Raw [a, c] + wc a - wa c, from raw coordinates av and cv."""
+    return [
+        k + wc * u - wa * v for k, u, v in zip(algebra.raw_commutator(av, cv), av, cv)
+    ]
 
 
 def associator_closed_form(
@@ -174,7 +187,9 @@ def associator_closed_form(
         ((a1, b1, c1) + w2(b2)(a1 c1 - w1(c1) a1),
          (a2, b2, c2) + w1(b1)(a2 c2 - w2(c2) a2))
 
-    returned as concatenated coordinates.
+    returned as concatenated coordinates. The arithmetic runs on raw
+    values, with the products taken in each component's own algebra and
+    the weights read from the factors; one FieldSpec.wrap makes the result.
     """
     a1, a2 = x
     p1, p2 = y
@@ -182,17 +197,36 @@ def associator_closed_form(
     _check_pair(b1, b2, a1, a2)
     _check_pair(b1, b2, p1, p2)
     _check_pair(b1, b2, c1, c2)
+    a1._check(p1)
+    a1._check(c1)
+    a2._check(p2)
+    a2._check(c2)
+    _check_fields(b1, b2, a1, a2)
     w1, w2 = b1.weight, b2.weight
-    assoc1 = (a1 * p1) * c1 - a1 * (p1 * c1)
-    assoc2 = (a2 * p2) * c2 - a2 * (p2 * c2)
-    left = assoc1 + (a1 * c1 - a1.scaled(w1(c1))).scaled(w2(p2))
-    right = assoc2 + (a2 * c2 - a2.scaled(w2(c2))).scaled(w1(p1))
-    return left.coords + right.coords
+    a1v, a2v, p1v, p2v = a1.values, a2.values, p1.values, p2.values
+    c1v, c2v = c1.values, c2.values
+    raw = _associator_part(a1.algebra, a1v, p1v, c1v, w2.at(p2v), w1.at(c1v))
+    raw += _associator_part(a2.algebra, a2v, p2v, c2v, w1.at(p1v), w2.at(c2v))
+    return b1.field.wrap(raw)
+
+
+def _associator_part(algebra: Algebra, av: list, pv: list, cv: list, wp, wc) -> list:
+    """Raw (a, p, c) + wp (a c - wc a), from raw coordinates av, pv and cv."""
+    return [
+        k + wp * (u - wc * v)
+        for k, u, v in zip(algebra.raw_associator(av, pv, cv), algebra.times(av, cv), av)
+    ]
 
 
 def _check_pair(b1: BaricAlgebra, b2: BaricAlgebra, x1: Element, x2: Element) -> None:
     if len(x1.coords) != b1.dim or len(x2.coords) != b2.dim:
         raise DimensionMismatch("component sizes do not match the factors")
+
+
+def _check_fields(b1: BaricAlgebra, b2: BaricAlgebra, x1: Element, x2: Element) -> None:
+    field = b1.field
+    if b2.field is not field or x1.algebra.field is not field or x2.algebra.field is not field:
+        raise FieldMismatch("factors and components must share one field")
 
 
 def idempotent_family(

@@ -201,10 +201,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.props:
+    if args.props is not None:
         ids = [p.strip() for p in args.props.split(",") if p.strip()]
+        if not ids:
+            raise ValueError(f"--props {args.props!r} names no check id")
     else:
         ids = list(PROPOSITION_IDS)
+    if args.maxdim is not None and args.maxdim < 1:
+        raise ValueError(f"--maxdim must be at least 1, got {args.maxdim}")
     field = FieldSpec.from_token(args.field) if args.field else None
     if field is not None and not field.is_finite:
         raise ValueError("verify needs a prime field token like p3")

@@ -81,7 +81,8 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
     pending list until it has been multiplied by each algebra basis
     vector on the required sides; a product joins the basis (and the
     pending list) only when the current span misses it. Each addition
-    raises the dimension, so at most dim A vectors are ever pending.
+    raises the dimension, so at most dim A vectors are ever pending, and
+    the raw echelon that membership reduces against is built once per span.
     """
     side = Sided(side) if not isinstance(side, Sided) else side
     if side is Sided.NONE:

@@ -33,11 +33,14 @@ def enumeration_cap(override: int | None = None) -> int:
 
     The cap bounds the number of items an exhaustive search visits: the
     p^dim vectors of iter_vectors, the subspace_count(p, dim) subspaces of
-    enumerate_subspaces.
+    enumerate_subspaces. A negative cap raises ValueError.
     """
-    if override is not None:
-        return override
-    return int(os.environ.get("BARIC_CAP", DEFAULT_ENUMERATION_CAP))
+    cap = override
+    if cap is None:
+        cap = int(os.environ.get("BARIC_CAP", DEFAULT_ENUMERATION_CAP))
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
+    return cap
 
 
 Row = tuple[FieldElement, ...]
@@ -230,13 +233,14 @@ def solve(m: Matrix, b: Sequence[FieldElement]) -> Row | None:
 class Subspace:
     """A linear subspace in canonical reduced-echelon form."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_echelon")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, basis: tuple[Row, ...]):
         # callers must pass an RREF basis without zero rows; use span()
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._echelon = None
 
     @property
     def dim(self) -> int:
@@ -265,7 +269,11 @@ class Subspace:
     def contains_vector(self, v: Sequence[FieldElement]) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"vector of length {len(v)} in dim {self.ambient_dim}")
-        return not any(raw_residue(self.field.p, self.raw_echelon(), [x.value for x in v]))
+        # kept for later calls (the basis never changes); built here, not in
+        # raw_echelon, so the many subspaces only tested by _closed hold none
+        if self._echelon is None:
+            self._echelon = self.raw_echelon()
+        return not any(raw_residue(self.field.p, self._echelon, [x.value for x in v]))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)

@@ -466,12 +466,15 @@ def _check_closed_form(rng, cfg, name, direct, closed_form, labels):
     field = cfg.field or FieldSpec.prime(3)
     b1, b2 = _random_pair(rng, cfg, field)
     bow = bowtie(b1, b2)
-    basis = [bow.basis_element(i) for i in range(bow.dim)]
-    tuples = list(product(basis, repeat=len(labels)))
-    tuples.append(tuple(_random_element(rng, bow) for _ in labels))
-    for args in tuples:
-        parts = [split_element(b1, b2, x) for x in args]
-        if direct(*args).coords != closed_form(b1, b2, *parts):
+    n, arity = bow.dim, len(labels)
+    elements = [bow.basis_element(i) for i in range(n)]
+    elements += [_random_element(rng, bow) for _ in labels]
+    parts = [split_element(b1, b2, x) for x in elements]
+    index_tuples = list(product(range(n), repeat=arity))
+    index_tuples.append(tuple(range(n, n + arity)))
+    for indices in index_tuples:
+        args = [elements[i] for i in indices]
+        if direct(*args).coords != closed_form(b1, b2, *[parts[i] for i in indices]):
             at = " ".join(f"{label}={x!r}" for label, x in zip(labels, args))
             raise CheckFailure(f"{name} closed form disagrees at {at}", b1, b2)
 

@@ -10,12 +10,14 @@ BaricAlgebra is valid by the time you hold one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .algebra import Algebra, Element, change_basis, property_flags
 from .errors import (
     CharacteristicObstruction,
     DimensionMismatch,
+    FieldMismatch,
     FieldNotFinite,
     WeightInvalid,
 )
@@ -26,11 +28,12 @@ from .linalg import Matrix, Subspace, iter_vectors, kernel_basis, row_times_matr
 class Weight:
     """Coordinate vector of a linear functional on the basis."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "coords", "values")
 
     def __init__(self, field: FieldSpec, coords: Sequence):
         self.field = field
         self.coords = tuple(field.element(c) for c in coords)
+        self.values = tuple([c.value for c in self.coords])
 
     @classmethod
     def ones(cls, field: FieldSpec, n: int) -> "Weight":
@@ -40,15 +43,18 @@ class Weight:
     def is_nonzero(self) -> bool:
         return any(self.coords)
 
+    def at(self, values: Sequence):
+        """w(x) as a raw value (unreduced over F_p), from raw coordinates of x."""
+        return sum(map(mul, self.values, values))
+
     def __call__(self, x) -> FieldElement:
         coords = x.coords if isinstance(x, Element) else x
         if len(coords) != len(self.coords):
             raise DimensionMismatch("weight applied to a vector of the wrong length")
-        acc = self.field.zero
-        for w, c in zip(self.coords, coords):
-            if w and c:
-                acc = acc + w * c
-        return acc
+        zero = self.field.zero
+        for c in coords:
+            zero._check(c)
+        return self.field.wrap([self.at([c.value for c in coords])])[0]
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -82,20 +88,20 @@ class BowtieTag:
 
 def validate_weight(algebra: Algebra, weight: Weight) -> bool:
     """True iff the weight is nonzero and multiplicative on all basis pairs."""
-    w = weight.coords
+    w = weight.values
     if len(w) != algebra.dim:
         raise DimensionMismatch("weight length does not match the algebra dimension")
+    if weight.field is not algebra.field:
+        raise FieldMismatch(f"weight over {weight.field!r}, algebra over {algebra.field!r}")
     if not any(w):
         return False
+    p = algebra.field.p
     by_pair = algebra._by_pair
-    zero = algebra.field.zero
     for i, wi in enumerate(w):
         for j, wj in enumerate(w):
-            acc = zero
-            for k, c in by_pair.get((i, j), ()):
-                if w[k]:
-                    acc = acc + c * w[k]
-            if acc != wi * wj:
+            # sum_k c[i,j,k] w_k - w_i w_j on raw values, reduced once
+            acc = sum([c * w[k] for k, c in by_pair.get((i, j), ())]) - wi * wj
+            if acc if p is None else acc % p:
                 return False
     return True
 

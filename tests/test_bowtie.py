@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baric import (
+    Algebra,
     DimensionMismatch,
     FieldMismatch,
     FieldSpec,
@@ -28,17 +32,21 @@ from baric import (
     project,
     property_flags,
     random_baric,
+    random_rational_baric,
     span_of,
     split_element,
     structural_isos,
     transport_iso,
+    validate_weight,
 )
 from baric.weights import BaricAlgebra
 from baric.catalog import dual_numbers, scalar_action
+from test_lattice_primitives import reference_product
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F4099 = FieldSpec.prime(4099)  # above the interning limit: wrap takes the % p path
 
 
 def test_bowtie_structure_of_field_square():
@@ -277,3 +285,227 @@ def test_associativity_character_examples():
     record = associativity_character(kpow(Q, 1), d2)
     assert not record.bowtie_associative
     assert record.scalar_action_left and not record.scalar_action_right
+
+
+# -- differentials for the raw-value kernels ----------------------------------
+# commutator, associator, both closed forms, Weight.__call__ and
+# validate_weight compute on raw values. The references below are written in
+# FieldElement arithmetic over reference_product (the triple sum over
+# a.table), so they share no kernel with the code under test.
+
+
+def _ref_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def _ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _ref_scale(c, x):
+    return tuple(c * a for a in x)
+
+
+def _ref_weight(w, x):
+    acc = w.field.zero
+    for wi, xi in zip(w.coords, x):
+        acc = acc + wi * xi
+    return acc
+
+
+def _ref_commutator(a, x, y):
+    return _ref_sub(reference_product(a, x, y), reference_product(a, y, x))
+
+
+def _ref_associator(a, x, y, z):
+    return _ref_sub(
+        reference_product(a, reference_product(a, x, y), z),
+        reference_product(a, x, reference_product(a, y, z)),
+    )
+
+
+def _ref_commutator_closed_form(b1, b2, x, y):
+    (a1, a2), (c1, c2) = x, y
+    w1, w2 = b1.weight, b2.weight
+    left = _ref_sub(
+        _ref_add(_ref_commutator(b1.algebra, a1, c1), _ref_scale(_ref_weight(w2, c2), a1)),
+        _ref_scale(_ref_weight(w2, a2), c1),
+    )
+    right = _ref_sub(
+        _ref_add(_ref_commutator(b2.algebra, a2, c2), _ref_scale(_ref_weight(w1, c1), a2)),
+        _ref_scale(_ref_weight(w1, a1), c2),
+    )
+    return left + right
+
+
+def _ref_associator_closed_form(b1, b2, x, y, z):
+    (a1, a2), (p1, p2), (c1, c2) = x, y, z
+    w1, w2 = b1.weight, b2.weight
+    left = _ref_add(
+        _ref_associator(b1.algebra, a1, p1, c1),
+        _ref_scale(
+            _ref_weight(w2, p2),
+            _ref_sub(reference_product(b1.algebra, a1, c1), _ref_scale(_ref_weight(w1, c1), a1)),
+        ),
+    )
+    right = _ref_add(
+        _ref_associator(b2.algebra, a2, p2, c2),
+        _ref_scale(
+            _ref_weight(w1, p1),
+            _ref_sub(reference_product(b2.algebra, a2, c2), _ref_scale(_ref_weight(w2, c2), a2)),
+        ),
+    )
+    return left + right
+
+
+def _ref_validate_weight(a, w):
+    if not any(w.coords):
+        return False
+    zero = a.field.zero
+    for i in range(a.dim):
+        for j in range(a.dim):
+            acc = zero
+            for k in range(a.dim):
+                acc = acc + a.table.get((i, j, k), zero) * w.coords[k]
+            if acc != w.coords[i] * w.coords[j]:
+                return False
+    return True
+
+
+RAW_FIELDS = [F2, F3, Q, F4099]
+
+
+def _baric_factor(field, dim, seed):
+    if field.p is None:
+        rng = random.Random(seed)
+        weight = [rng.choice([1, 2, Fraction(1, 2)])] + [rng.randint(-2, 2) for _ in range(dim - 1)]
+        return random_rational_baric(dim, weight, seed=seed)
+    return random_baric(field, dim, seed=seed)
+
+
+def _draw_coords(rng, field, n):
+    if field.p is None:
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    return [rng.randrange(field.p) if rng.random() < 0.7 else 0 for _ in range(n)]
+
+
+@st.composite
+def factor_pairs(draw):
+    field = draw(st.sampled_from(RAW_FIELDS))
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10_000))
+    return _baric_factor(field, d1, seed), _baric_factor(field, d2, seed + 1), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs())
+def test_raw_kernels_match_field_element_references(pair):
+    b1, b2, seed = pair
+    rng = random.Random(seed)
+    field = b1.field
+    bow = bowtie(b1, b2)
+    points = [bow.basis_element(i) for i in range(bow.dim)]
+    points += [bow.element(_draw_coords(rng, field, bow.dim)) for _ in range(3)]
+    triples = [tuple(rng.choice(points) for _ in range(3)) for _ in range(12)]
+    for x, y, z in triples:
+        sx, sy, sz = (split_element(b1, b2, e) for e in (x, y, z))
+        cx, cy, cz = ((u.coords, v.coords) for u, v in (sx, sy, sz))
+        assert commutator(x, y).coords == _ref_commutator(bow.algebra, x.coords, y.coords)
+        assert associator(x, y, z).coords == _ref_associator(
+            bow.algebra, x.coords, y.coords, z.coords
+        )
+        assert commutator_closed_form(b1, b2, sx, sy) == _ref_commutator_closed_form(
+            b1, b2, cx, cy
+        )
+        assert associator_closed_form(b1, b2, sx, sy, sz) == _ref_associator_closed_form(
+            b1, b2, cx, cy, cz
+        )
+        assert bow.weight(x) == _ref_weight(bow.weight, x.coords)
+
+
+@st.composite
+def weighted_algebras(draw):
+    """Valid weights, perturbed valid weights, and random tensors with random weights."""
+    field = draw(st.sampled_from(RAW_FIELDS))
+    n = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10_000))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(["valid", "perturbed", "random", "zero"]))
+    if kind in ("valid", "perturbed"):
+        b = _baric_factor(field, n, seed)
+        coords = list(b.weight.coords)
+        if kind == "perturbed":
+            i = rng.randrange(n)
+            coords[i] = coords[i] + field.one
+        return b.algebra, Weight(field, coords)
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rng.random() < 0.3:
+                    (table[(i, j, k)],) = _draw_coords(rng, field, 1)
+    a = Algebra(field, n, table)
+    coords = [0] * n if kind == "zero" else _draw_coords(rng, field, n)
+    return a, Weight(field, coords)
+
+
+@settings(max_examples=120, deadline=None)
+@given(weighted_algebras())
+def test_validate_weight_matches_field_element_reference(case):
+    a, w = case
+    assert validate_weight(a, w) == _ref_validate_weight(a, w)
+
+
+def test_validate_weight_reference_sees_both_outcomes():
+    # the strategy above is only a differential if both verdicts occur
+    for field in RAW_FIELDS:
+        b = _baric_factor(field, 3, 7)
+        assert validate_weight(b.algebra, b.weight) and _ref_validate_weight(b.algebra, b.weight)
+        bad = Weight(field, [c + field.one for c in b.weight.coords])
+        assert validate_weight(b.algebra, bad) == _ref_validate_weight(b.algebra, bad)
+    d2 = dual_numbers(F3)
+    wrong = Weight(F3, [1, 1])  # w(x)^2 = 1, but x*x = 0
+    assert not validate_weight(d2.algebra, wrong) and not _ref_validate_weight(d2.algebra, wrong)
+
+
+def test_raw_kernels_keep_their_error_checks():
+    b1, b2 = random_baric(F3, 2, seed=1), random_baric(F3, 3, seed=2)
+    other = random_baric(F3, 2, seed=5)
+    assert other.algebra != b1.algebra
+    a1, a2 = b1.basis_element(0), b2.basis_element(1)
+    foreign = other.basis_element(0)
+    # component sizes must match the factors
+    short = (b2.basis_element(0), b1.basis_element(0))
+    with pytest.raises(DimensionMismatch):
+        commutator_closed_form(b1, b2, (a1, a2), short)
+    with pytest.raises(DimensionMismatch):
+        associator_closed_form(b1, b2, (a1, a2), (a1, a2), short)
+    # operands of one component must share an algebra
+    with pytest.raises(DimensionMismatch):
+        commutator_closed_form(b1, b2, (a1, a2), (foreign, a2))
+    with pytest.raises(DimensionMismatch):
+        associator_closed_form(b1, b2, (a1, a2), (foreign, a2), (a1, a2))
+    with pytest.raises(DimensionMismatch):
+        associator_closed_form(b1, b2, (a1, a2), (a1, a2), (foreign, a2))
+    with pytest.raises(DimensionMismatch):
+        commutator(a1, foreign)
+    with pytest.raises(DimensionMismatch):
+        associator(a1, a1, foreign)
+    # components over another field than the factors
+    F5 = FieldSpec.prime(5)
+    o1, o2 = random_baric(F5, 2, seed=1), random_baric(F5, 3, seed=2)
+    alien = (o1.basis_element(0), o2.basis_element(0))
+    with pytest.raises(FieldMismatch):
+        commutator_closed_form(b1, b2, alien, alien)
+    with pytest.raises(FieldMismatch):
+        associator_closed_form(b1, b2, alien, alien, alien)
+    with pytest.raises(FieldMismatch):
+        validate_weight(o1.algebra, b1.weight)
+    # a weight refuses coordinates from another field
+    w = Weight(F3, [1, 1])
+    with pytest.raises(FieldMismatch):
+        w((FieldSpec.prime(5).one, FieldSpec.prime(5).one))
+    with pytest.raises(FieldMismatch):
+        w((Q.one, Q.one))
+    with pytest.raises(DimensionMismatch):
+        w((F3.one,))

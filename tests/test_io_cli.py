@@ -305,6 +305,39 @@ def test_cli_negative_trials_exit_2(capsys):
     assert "error=ValueError" in captured.err
 
 
+@pytest.mark.parametrize("props", [",,", "", " , "])
+def test_cli_verify_refuses_props_naming_no_check(props, capsys):
+    assert main(["verify", "--props", props, "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error=ValueError" in captured.err and "names no check id" in captured.err
+
+
+@pytest.mark.parametrize("maxdim", ["0", "-2"])
+def test_cli_verify_refuses_maxdim_below_one(maxdim, capsys):
+    assert main(["verify", "--props", "L3.1", "--trials", "1", "--maxdim", maxdim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error=ValueError" in captured.err and "--maxdim" in captured.err
+    assert main(["verify", "--props", "L3.1", "--trials", "1", "--maxdim", "1"]) == 0
+
+
+def test_cli_negative_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k3.json"
+    io.save(kpow(F2, 3), path)
+    assert main(["weights", str(path), "--cap", "-1"]) == 2
+    assert "error=ValueError" in capsys.readouterr().err
+    monkeypatch.setenv("BARIC_CAP", "-4")
+    assert main(["decompose", str(path)]) == 2
+    assert "error=ValueError" in capsys.readouterr().err
+    # an explicit cap overrides the environment; 0 still refuses any scan
+    assert main(["weights", str(path), "--cap", "0"]) == 1
+    assert "error=EnumerationTooLarge" in capsys.readouterr().err
+    monkeypatch.delenv("BARIC_CAP")
+    assert main(["weights", str(path), "--cap", "8"]) == 0
+    assert "count=1" in capsys.readouterr().out
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from baric import (
     DimensionMismatch,
+    associator,
+    commutator,
     FieldNotFinite,
     FieldSpec,
     PROPOSITION_IDS,
@@ -9,11 +13,13 @@ from baric import (
     RunConfig,
     UnknownProposition,
     check,
+    is_scalar_action,
     property_flags,
     random_baric,
     random_rational_baric,
     validate_weight,
 )
+from baric import propcheck
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -117,3 +123,54 @@ def test_field_override_is_honored():
 def test_maxdim_override():
     report = check("L3.1", trials=5, seed=9, config=RunConfig(max_dim=2))
     assert report.passed
+
+
+def _associator_form_without_w2p2(b1, b2, x, y, z):
+    """The L6.1 closed form with the w2(p2)(a1 c1 - w1(c1) a1) term left out."""
+    (a1, a2), (p1, p2), (c1, c2) = x, y, z
+    left = associator(a1, p1, c1)
+    right = associator(a2, p2, c2) + (a2 * c2 - a2.scaled(b2.weight(c2))).scaled(b1.weight(p1))
+    return left.coords + right.coords
+
+
+def _commutator_form_without_w2c2(b1, b2, x, y):
+    """The L3.1 closed form with the w2(c2) a1 term left out."""
+    (a1, a2), (c1, c2) = x, y
+    left = commutator(a1, c1) - c1.scaled(b2.weight(a2))
+    right = commutator(a2, c2) + a2.scaled(b1.weight(c1)) - c2.scaled(b1.weight(a1))
+    return left.coords + right.coords
+
+
+def _left_factors(pid, trials, seed=0):
+    """The left factor each closed-form trial draws, replayed from the check's rng."""
+    for t in range(trials):
+        rng = random.Random(f"{pid}:{seed}:{t}")
+        yield propcheck._random_pair(rng, RunConfig(), F3)[0]
+
+
+def _assert_named_counterexample(report, labels):
+    text = report.first_counterexample
+    assert text.startswith("trial=")
+    assert all(f"{label}=(" in text for label in labels)
+    assert "left factor:" in text and "right factor:" in text
+
+
+def test_l31_catches_a_dropped_term(monkeypatch):
+    # w2(c2) a1 is nonzero at a1 = e_0, c2 = e_0 in every trial (both weights start with 1)
+    monkeypatch.setattr(propcheck, "commutator_closed_form", _commutator_form_without_w2c2)
+    report = check("L3.1", trials=3)
+    assert report.failures == 3
+    _assert_named_counterexample(report, "xy")
+
+
+def test_l61_catches_a_dropped_term(monkeypatch):
+    # The dropped term w2(p2)(a1 c1 - w1(c1) a1) vanishes identically exactly when
+    # the left factor obeys x*y = w(y)*x (as every one-dimensional factor does), so
+    # the mutant is wrong on precisely the other trials, and each of them must fail.
+    monkeypatch.setattr(propcheck, "associator_closed_form", _associator_form_without_w2p2)
+    trials = 10
+    wrong = sum(not is_scalar_action(b.algebra, b.weight) for b in _left_factors("L6.1", trials))
+    assert 0 < wrong < trials
+    report = check("L6.1", trials=trials)
+    assert report.failures == wrong
+    _assert_named_counterexample(report, "xyz")
