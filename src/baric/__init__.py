@@ -10,8 +10,6 @@ direct sum of their underlying spaces.
 
 from .algebra import (
     Algebra,
-    Element,
-    PropertyFlags,
     associator,
     change_basis,
     commutative_center,
@@ -19,8 +17,6 @@ from .algebra import (
     property_flags,
 )
 from .bowtie import (
-    AssociativityCharacter,
-    StructuralIsos,
     associativity_character,
     associator_closed_form,
     bowtie,
@@ -32,7 +28,6 @@ from .bowtie import (
     project,
     split_element,
     structural_isos,
-    swap_matrix,
     transport_iso,
 )
 from .errors import (
@@ -57,10 +52,7 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, parse_scalar
 from .ideals import (
     DecompOutcome,
-    Decomposability,
     Ideal,
-    IdealProjection,
-    KernelIdealBijection,
     Sided,
     decomposability,
     embedded_ideal_check,
@@ -75,8 +67,6 @@ from .linalg import (
     Matrix,
     Subspace,
     enumerate_subspaces,
-    enumeration_cap,
-    iter_vectors,
     kernel_basis,
     solve,
     span,
@@ -89,11 +79,9 @@ from .propcheck import (
     check,
     random_baric,
     random_rational_baric,
-    run_all,
 )
 from .weights import (
     BaricAlgebra,
-    BowtieTag,
     Weight,
     baric_isomorphic_by,
     classify_scalar_action,

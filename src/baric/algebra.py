@@ -170,11 +170,6 @@ class Element:
     def scaled(self, c: FieldElement) -> "Element":
         return Element(self.algebra, tuple(c * a for a in self.coords))
 
-    def __rmul__(self, c) -> "Element":
-        if isinstance(c, FieldElement):
-            return self.scaled(c)
-        return NotImplemented
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)

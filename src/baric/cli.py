@@ -14,7 +14,7 @@ from pathlib import Path
 from . import io
 from .algebra import commutative_center, property_flags
 from .bowtie import bowtie
-from .errors import BaricError, DimensionMismatch, DivisionByZero
+from .errors import BaricError, DimensionMismatch, DivisionByZero, UnknownProposition
 from .fields import FieldSpec, parse_scalar
 from .ideals import (
     Sided,
@@ -205,6 +205,9 @@ def _cmd_verify(args) -> int:
         ids = [p.strip() for p in args.props.split(",") if p.strip()]
         if not ids:
             raise ValueError(f"--props {args.props!r} names no check id")
+        for pid in ids:
+            if pid not in PROPOSITION_IDS:
+                raise UnknownProposition(f"unknown check id {pid!r}")
     else:
         ids = list(PROPOSITION_IDS)
     if args.maxdim is not None and args.maxdim < 1:

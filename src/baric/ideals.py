@@ -7,19 +7,18 @@ decomposability of the kernel into two nonzero ideals.
 
 Exhaustive decisions (ideal lattices, decomposability) are only offered
 over prime fields, where subspace enumeration is finite; over the
-rationals the same questions are answered relative to supplied
-candidates, or reported as undecided.
+rationals decomposability is reported as undecided.
 
 The module keeps no arithmetic of its own: images of basis vectors come
 from Algebra.times_basis and membership from linalg.raw_residue, both on
-raw values (int residues over F_p, Fractions over Q).
+raw values (int residues over F_p, Fractions over Q), as are the rows a
+Subspace stores.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from dataclasses import dataclass
 
@@ -50,11 +49,9 @@ def _closed(a: Algebra, s: Subspace, left: bool) -> bool:
 
     Each image of a basis row of s must reduce to zero against those rows.
     """
-    p = a.field.p
-    echelon = s.raw_echelon()
-    for v, _ in echelon:
+    for v in s.rows:
         for j in range(a.dim):
-            if any(raw_residue(p, echelon, a.times_basis(v, j, left))):
+            if any(raw_residue(s, a.times_basis(v, j, left))):
                 return False
     return True
 
@@ -81,8 +78,8 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
     pending list until it has been multiplied by each algebra basis
     vector on the required sides; a product joins the basis (and the
     pending list) only when the current span misses it. Each addition
-    raises the dimension, so at most dim A vectors are ever pending, and
-    the raw echelon that membership reduces against is built once per span.
+    raises the dimension, so at most dim A vectors are ever pending. Pending
+    vectors are raw rows, the input of Algebra.times_basis.
     """
     side = Sided(side) if not isinstance(side, Sided) else side
     if side is Sided.NONE:
@@ -93,15 +90,15 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
     field = a.field
     sides = (False, True) if side is Sided.TWO_SIDED else (False,)
     current = span(field, a.dim, [g.coords for g in gens])
-    pending = list(current.basis)
+    pending = list(current.rows)
     while pending:
-        v = [x.value for x in pending.pop()]
+        v = pending.pop()
         for j in range(a.dim):
             for left in sides:
                 w = field.wrap(a.times_basis(v, j, left))
                 if not current.contains_vector(w):
                     current = span(field, a.dim, current.basis + (w,))
-                    pending.append(w)
+                    pending.append([x.value for x in w])
     return Ideal(current, sidedness(a, current))
 
 
@@ -237,42 +234,22 @@ class Decomposability:
     n2: Subspace | None = None
 
 
-def decomposability(
-    b: BaricAlgebra,
-    cap: int | None = None,
-    ideal_candidate_basis: Sequence[Element] | None = None,
-) -> Decomposability:
+def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
     """Split Ker w into two nonzero ideals, if possible.
 
     The algebra must have an idempotent of weight one to qualify; absent
     one the outcome is NO_WEIGHT1_IDEMPOTENT. Over a prime field the
     kernel-ideal lattice is enumerated exhaustively and the decision is
-    exact. Over the rationals only the ideals generated by subsets of
-    `ideal_candidate_basis` are tried, and the outcome is UNDECIDED when
-    no witness pair turns up.
+    exact. Over the rationals the outcome is UNDECIDED.
     """
     idems = find_weight_one_idempotents(b, cap, limit=1)
     if not idems:
         return Decomposability(DecompOutcome.NO_WEIGHT1_IDEMPOTENT)
     idem = idems[0]
+    if not b.field.is_finite:
+        return Decomposability(DecompOutcome.UNDECIDED, idem)
     kernel = b.kernel()
-
-    if b.field.is_finite:
-        candidates = [s for s in kernel_ideals(b, cap) if s.dim > 0]
-    else:
-        if ideal_candidate_basis is None:
-            return Decomposability(DecompOutcome.UNDECIDED, idem)
-        seen = set()
-        candidates = []
-        for subset in _powerset(ideal_candidate_basis):
-            if not subset:
-                continue
-            closure = ideal_closure(b.algebra, list(subset), Sided.TWO_SIDED)
-            s = closure.space
-            if s.dim > 0 and kernel.contains(s) and s not in seen:
-                seen.add(s)
-                candidates.append(s)
-
+    candidates = [s for s in kernel_ideals(b, cap) if s.dim > 0]
     for i, n1 in enumerate(candidates):
         for n2 in candidates[i:]:
             if (
@@ -281,10 +258,4 @@ def decomposability(
                 and n1.sum(n2) == kernel
             ):
                 return Decomposability(DecompOutcome.DECOMPOSABLE, idem, n1, n2)
-    if b.field.is_finite:
-        return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)
-    return Decomposability(DecompOutcome.UNDECIDED, idem)
-
-
-def _powerset(items: Sequence) -> Iterable[tuple]:
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+    return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)

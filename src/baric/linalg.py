@@ -1,9 +1,12 @@
 """Exact dense linear algebra over a FieldSpec.
 
-Matrices are immutable tuples of rows of FieldElements. Subspaces are
-stored by their reduced row-echelon basis with zero rows removed, which
-is a canonical form: two subspaces are equal exactly when their stored
-bases are identical, so Subspace supports ==, hashing and set membership.
+Matrices are immutable tuples of rows of FieldElements. Elimination runs
+on raw values (residues in [0, p) over F_p, Fractions over Q) and
+FieldSpec.wrap turns results back into FieldElements. Subspaces are
+stored by their reduced row-echelon rows as raw values, with zero rows
+removed, and the pivot column of each row. That is a canonical form: two
+subspaces are equal exactly when their stored rows are identical, so
+Subspace supports ==, hashing and set membership.
 
 Over prime fields the module can also enumerate every subspace of an
 ambient space, walking reduced-echelon pivot patterns so that each
@@ -113,7 +116,7 @@ class Matrix:
     def rref(self) -> "Matrix":
         """Reduced row-echelon form, zero rows kept at the bottom."""
         rows, _ = _rref(self.field, self.rows, self.ncols)
-        return Matrix(self.field, rows, self.ncols)
+        return Matrix(self.field, [self.field.wrap(r) for r in rows], self.ncols)
 
     def rank(self) -> int:
         _, pivots = _rref(self.field, self.rows, self.ncols)
@@ -132,7 +135,7 @@ class Matrix:
         reduced, pivots = _rref(self.field, aug, 2 * n)
         if pivots != list(range(n)):
             raise SingularTransform("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in reduced[:n]], n)
+        return Matrix(self.field, [self.field.wrap(r[n:]) for r in reduced[:n]], n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -165,9 +168,14 @@ def row_times_matrix(v: Sequence[FieldElement], m: Matrix) -> Row:
     return tuple(out)
 
 
-def _rref(field: FieldSpec, rows, ncols: int):
-    """Gauss-Jordan elimination; returns (rows, pivot column list)."""
-    m = [list(r) for r in rows]
+def _rref(field: FieldSpec, rows: Iterable[Sequence[FieldElement]], ncols: int):
+    """Gauss-Jordan elimination on raw values; returns (rows, pivot column list).
+
+    The FieldElement rows are unwrapped once; the returned rows are raw
+    (residues in [0, p) over F_p, Fractions over Q), zero rows at the bottom.
+    """
+    p = field.p
+    m = [[x.value for x in r] for r in rows]
     nrows = len(m)
     pivots: list[int] = []
     r = 0
@@ -183,32 +191,46 @@ def _rref(field: FieldSpec, rows, ncols: int):
             continue
         m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
-        if piv != field.one:
-            inv = field.one / piv
-            m[r] = [inv * x for x in m[r]]
+        if piv != 1:
+            if p is None:
+                m[r] = [x / piv for x in m[r]]
+            else:
+                inv = pow(piv, -1, p)
+                m[r] = [x * inv % p for x in m[r]]
+        pivot_row = m[r]
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                if p is None:
+                    m[i] = [a - f * b for a, b in zip(m[i], pivot_row)]
+                else:
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot_row)]
         pivots.append(c)
         r += 1
     return [tuple(row) for row in m], pivots
+
+
+def _check_entries(field: FieldSpec, row: Sequence) -> None:
+    # _rref unwraps raw values, so an entry from another field (TypeError for
+    # a non-element, FieldMismatch for a foreign one) is refused first
+    check = field.one._check
+    for x in row:
+        check(x)
 
 
 def kernel_basis(m: Matrix) -> list[Row]:
     """Basis of {x : m @ x^T = 0}, one vector per free column."""
     reduced, pivots = _rref(m.field, m.rows, m.ncols)
     pivot_set = set(pivots)
-    zero, one = m.field.zero, m.field.one
     basis = []
     for free in range(m.ncols):
         if free in pivot_set:
             continue
-        v = [zero] * m.ncols
-        v[free] = one
+        v = [0] * m.ncols
+        v[free] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][free]
-        basis.append(tuple(v))
+        basis.append(m.field.wrap(v))
     return basis
 
 
@@ -219,65 +241,66 @@ def solve(m: Matrix, b: Sequence[FieldElement]) -> Row | None:
     """
     if len(b) != m.nrows:
         raise DimensionMismatch("right-hand side length mismatch")
+    _check_entries(m.field, b)
     aug = [m.rows[i] + (b[i],) for i in range(m.nrows)]
     reduced, pivots = _rref(m.field, aug, m.ncols + 1)
     if m.ncols in pivots:
         return None
-    zero = m.field.zero
-    x = [zero] * m.ncols
+    x = [0] * m.ncols
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][m.ncols]
-    return tuple(x)
+    return m.field.wrap(x)
 
 
 class Subspace:
-    """A linear subspace in canonical reduced-echelon form."""
+    """A linear subspace in canonical reduced-echelon form.
 
-    __slots__ = ("field", "ambient_dim", "basis", "_echelon")
+    `rows` are the RREF basis rows as raw values, zero rows removed, and
+    `pivots` the pivot column of each row.
+    """
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, basis: tuple[Row, ...]):
-        # callers must pass an RREF basis without zero rows; use span()
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+
+    def __init__(self, field: FieldSpec, ambient_dim: int, rows: tuple[tuple, ...], pivots: tuple[int, ...]):
+        # callers must pass canonical RREF rows and their pivots; use span()
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self._echelon = None
+        self.rows = rows
+        self.pivots = pivots
+
+    @property
+    def basis(self) -> tuple[Row, ...]:
+        """The RREF basis as FieldElement rows, wrapped on each access."""
+        wrap = self.field.wrap
+        return tuple([wrap(r) for r in self.rows])
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.basis, self.ambient_dim)
 
     @classmethod
     def zero_space(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, ())
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         return span(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
 
-    def raw_echelon(self) -> list[tuple[list, int]]:
-        """The basis rows as raw values, each with its pivot column."""
-        rows = [[x.value for x in row] for row in self.basis]
-        return [(row, _pivot_col(row)) for row in rows]
-
     def contains_vector(self, v: Sequence[FieldElement]) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"vector of length {len(v)} in dim {self.ambient_dim}")
-        # kept for later calls (the basis never changes); built here, not in
-        # raw_echelon, so the many subspaces only tested by _closed hold none
-        if self._echelon is None:
-            self._echelon = self.raw_echelon()
-        return not any(raw_residue(self.field.p, self._echelon, [x.value for x in v]))
+        return not any(raw_residue(self, [x.value for x in v]))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains_vector(r) for r in other.basis)
+        return not any(any(raw_residue(self, r)) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -290,8 +313,8 @@ class Subspace:
         self._check(other)
         if self.is_zero or other.is_zero:
             return Subspace.zero_space(self.field, self.ambient_dim)
-        stacked = Matrix(self.field, self.basis + other.basis, self.ambient_dim)
         basis, k = self.basis_matrix(), self.dim
+        stacked = Matrix(self.field, basis.rows + other.basis, self.ambient_dim)
         vectors = [row_times_matrix(w[:k], basis) for w in kernel_basis(stacked.transpose())]
         return span(self.field, self.ambient_dim, vectors)
 
@@ -309,32 +332,25 @@ class Subspace:
         return (
             self.field is other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.ambient_dim, self.basis))
+        return hash((self.field.p, self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
-        rows = "; ".join(",".join(str(x) for x in r) for r in self.basis)
+        rows = "; ".join(",".join(str(x) for x in r) for r in self.rows)
         return f"Subspace(dim {self.dim} of {self.ambient_dim}: {rows})"
 
 
-def _pivot_col(row: Sequence) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    raise ValueError("zero row has no pivot")
+def raw_residue(s: Subspace, v: Sequence) -> list:
+    """Raw vector v reduced against the rows of s at their pivot columns.
 
-
-def raw_residue(p: int | None, echelon: Sequence[tuple[list, int]], v: list) -> list:
-    """Raw vector v reduced against raw RREF rows at their pivot columns.
-
-    `echelon` holds (row, pivot column) pairs as from Subspace.raw_echelon;
-    v lies in their span exactly when the residue is zero. Over F_p the
-    residue is returned reduced mod p.
+    v lies in s exactly when the residue is zero. Over F_p the residue is
+    returned reduced mod p.
     """
-    for row, pc in echelon:
+    p = s.field.p
+    for row, pc in zip(s.rows, s.pivots):
         coeff = v[pc]
         if coeff:
             v = [x - coeff * y for x, y in zip(v, row)]
@@ -349,10 +365,11 @@ def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence[FieldEle
     for v in vectors:
         if len(v) != ambient_dim:
             raise DimensionMismatch(f"vector of length {len(v)} in dim {ambient_dim}")
+        _check_entries(field, v)
     if not vectors:
         return Subspace.zero_space(field, ambient_dim)
     reduced, pivots = _rref(field, vectors, ambient_dim)
-    return Subspace(field, ambient_dim, tuple(reduced[: len(pivots)]))
+    return Subspace(field, ambient_dim, tuple(reduced[: len(pivots)]), tuple(pivots))
 
 
 def span_of(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -387,11 +404,10 @@ def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[S
     and fills the free positions with all residues, so the output needs no
     deduplication. Each subspace is C @ B for the ambient's basis B; the
     product of two reduced-echelon matrices is reduced-echelon (B's pivot
-    columns are unit vectors, so they copy C's), hence already canonical.
-    The arithmetic runs on int residues; FieldSpec.wrap turns them into
-    FieldElements when a subspace is yielded. Requires a finite field, and
-    the cap bounds the number of subspaces visited, subspace_count(p,
-    dim(ambient)).
+    columns are unit vectors, so they copy C's), hence already canonical,
+    and its pivot columns are B's at C's pivots. The arithmetic runs on the
+    raw rows of the ambient. Requires a finite field, and the cap bounds
+    the number of subspaces visited, subspace_count(p, dim(ambient)).
     """
     field = ambient.field
     p = field.p
@@ -404,11 +420,12 @@ def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[S
             f"F_{p}^{d} has {total} subspaces, more than the enumeration cap"
         )
     n = ambient.ambient_dim
-    dense = [[x.value for x in row] for row in ambient.basis]
+    dense = ambient.rows
     sparse = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
     for k in range(d + 1):
         for pivots in combinations(range(d), k):
             pivot_set = set(pivots)
+            row_pivots = tuple([ambient.pivots[pc] for pc in pivots])
             free_pos = [
                 (r, c)
                 for r in range(k)
@@ -423,4 +440,4 @@ def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[S
                         row = rows[r]
                         for j, bj in sparse[c]:
                             row[j] += val * bj
-                yield Subspace(field, n, tuple([field.wrap(row) for row in rows]))
+                yield Subspace(field, n, tuple([tuple([x % p for x in row]) for row in rows]), row_pivots)

@@ -335,30 +335,17 @@ def find_weight_one_idempotents(
     (subject to the enumeration cap). Over the rationals only the basis
     vectors and the unit, if one exists, are examined.
     """
-    found: list[Element] = []
-    seen = set()
-
-    def consider(x: Element) -> bool:
-        if x.coords in seen:
-            return False
-        seen.add(x.coords)
-        if b.weight(x) == b.field.one and x * x == x:
-            found.append(x)
-            return True
-        return False
-
     if b.field.is_finite:
-        for coords in iter_vectors(b.field, b.dim, cap):
-            consider(Element(b.algebra, coords))
-            if limit is not None and len(found) >= limit:
-                break
+        pool = (Element(b.algebra, coords) for coords in iter_vectors(b.field, b.dim, cap))
     else:
         pool = [b.basis_element(i) for i in range(b.dim)]
         unit = property_flags(b.algebra).unit
-        if unit is not None:
+        if unit is not None and unit not in pool:
             pool.append(unit)
-        for x in pool:
-            consider(x)
-            if limit is not None and len(found) >= limit:
-                break
+    found: list[Element] = []
+    for x in pool:
+        if b.weight(x) == b.field.one and x * x == x:
+            found.append(x)
+        if limit is not None and len(found) >= limit:
+            break
     return found

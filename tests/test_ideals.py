@@ -226,16 +226,6 @@ def test_decomposability_over_rationals():
     undecided = decomposability(cw3)
     assert undecided.outcome is DecompOutcome.UNDECIDED
 
-    witness = decomposability(
-        cw3,
-        ideal_candidate_basis=[cw3.element([0, 1, 0]), cw3.element([0, 0, 1])],
-    )
-    assert witness.outcome is DecompOutcome.DECOMPOSABLE
-
-    d2 = dual_numbers(Q)
-    result = decomposability(d2, ideal_candidate_basis=[d2.element([0, 1])])
-    assert result.outcome is DecompOutcome.UNDECIDED
-
 
 def test_indecomposability_preserved_for_fixed_family():
     family = [dual_numbers(F2), truncated_polynomials(F2, 3)]

@@ -305,12 +305,16 @@ def test_cli_negative_trials_exit_2(capsys):
     assert "error=ValueError" in captured.err
 
 
-@pytest.mark.parametrize("props", [",,", "", " , "])
+@pytest.mark.parametrize("props", [",,", "", " , ", "EX2.1,P9.9"])
 def test_cli_verify_refuses_props_naming_no_check(props, capsys):
+    # an unknown id is refused before any check runs, the known EX2.1 included
     assert main(["verify", "--props", props, "--trials", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error=ValueError" in captured.err and "names no check id" in captured.err
+    if "P9.9" in props:
+        assert "error=UnknownProposition" in captured.err and "'P9.9'" in captured.err
+    else:
+        assert "error=ValueError" in captured.err and "names no check id" in captured.err
 
 
 @pytest.mark.parametrize("maxdim", ["0", "-2"])

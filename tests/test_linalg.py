@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from baric import (
     DimensionMismatch,
     EnumerationTooLarge,
+    FieldMismatch,
     FieldNotFinite,
     FieldSpec,
     Matrix,
@@ -16,6 +21,7 @@ from baric import (
     enumerate_subspaces,
     kernel_basis,
     solve,
+    span,
     span_of,
 )
 from baric.linalg import subspace_count
@@ -23,6 +29,7 @@ from baric.linalg import subspace_count
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+ORACLE_FIELDS = [Q, F2, F3, FieldSpec.prime(5), FieldSpec.prime(4099)]
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -85,6 +92,16 @@ def test_span_examples():
 def test_span_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         span_of(Q, 2, [[1, 2, 3]])
+
+
+def test_foreign_entries_rejected():
+    f5_row = tuple(FieldSpec.prime(5).element(x) for x in (1, 4, 2))
+    with pytest.raises(FieldMismatch):
+        span(F3, 3, [f5_row])
+    with pytest.raises(TypeError):
+        span(F3, 3, [(1, 2, 0)])
+    with pytest.raises(FieldMismatch):
+        solve(Matrix.of(F3, [[1, 0, 0]]), f5_row[:1])
 
 
 def test_subspace_ops_examples():
@@ -189,3 +206,109 @@ def test_dimension_formula(field, n, seed):
     assert total.dim + meet.dim == u.dim + v.dim
     assert total.contains(u) and total.contains(v)
     assert u.contains(meet) and v.contains(meet)
+
+
+# Independent oracle: sympy's DomainMatrix over QQ and GF(p). Entries cross
+# the boundary as Fractions or ints; nothing of baric's arithmetic is used.
+
+
+def _domain(field):
+    return QQ if field.p is None else GF(field.p)
+
+
+def _to_oracle(field, rows, ncols):
+    K = _domain(field)
+    entries = [[K.convert(x.value) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(entries), ncols), K)
+
+
+def _from_oracle(field, entries):
+    if field.p is None:
+        return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in entries]
+    return [[int(x) % field.p for x in row] for row in entries]
+
+
+def _values(rows):
+    return [[x.value for x in row] for row in rows]
+
+
+@st.composite
+def oracle_matrices(draw, square=False):
+    """A field from Q, F_2, F_3, F_5, F_4099 and a small matrix over it.
+
+    Entries are zero half of the time, so that rank drops and free columns
+    are common.
+    """
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    nrows = draw(st.integers(0, 5)) if not square else draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    if field.p is None:
+        nonzero = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    entry = st.one_of(st.just(0), nonzero)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return Matrix.of(field, rows, ncols)
+
+
+def _oracle_rref(m: Matrix):
+    reduced, pivots = _to_oracle(m.field, m.rows, m.ncols).rref()
+    return _from_oracle(m.field, reduced.to_list())[: len(pivots)], list(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices())
+def test_span_and_rank_match_sympy(m):
+    rows, pivots = _oracle_rref(m)
+    s = span(m.field, m.ncols, m.rows)
+    assert [list(r) for r in s.rows] == _values(s.basis) == rows
+    assert list(s.pivots) == pivots
+    assert m.rank() == len(pivots) == _to_oracle(m.field, m.rows, m.ncols).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices())
+def test_kernel_basis_matches_sympy(m):
+    _, pivots = _oracle_rref(m)
+    free = [j for j in range(m.ncols) if j not in pivots]
+    basis = kernel_basis(m)
+    # one vector per free column: 1 there, 0 at the other free columns
+    assert len(basis) == len(free)
+    for v, f in zip(basis, free):
+        assert [v[j].value for j in free] == [int(j == f) for j in free]
+    ours = span(m.field, m.ncols, basis) if basis else Subspace.zero_space(m.field, m.ncols)
+    oracle = _to_oracle(m.field, m.rows, m.ncols).nullspace()
+    oracle_rows, _ = _oracle_rref(Matrix.of(m.field, _from_oracle(m.field, oracle.to_list()), m.ncols))
+    assert _values(ours.basis) == oracle_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_solve_matches_sympy(m, data):
+    field = m.field
+    b = Matrix.of(field, [[data.draw(st.integers(0, 6))] for _ in range(m.nrows)], 1)
+    aug = [r + c for r, c in zip(m.rows, b.rows)]
+    reduced, pivots = _to_oracle(field, aug, m.ncols + 1).rref()
+    x = solve(m, [c[0] for c in b.rows])
+    if m.ncols in pivots:
+        assert x is None
+        return
+    # the solution with every free variable zero, read off sympy's RREF
+    expected = [0] * m.ncols
+    reduced = _from_oracle(field, reduced.to_list())
+    for r, pc in enumerate(pivots):
+        expected[pc] = reduced[r][m.ncols]
+    assert x is not None and [v.value for v in x] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices(square=True))
+def test_inverse_matches_sympy(m):
+    oracle = _to_oracle(m.field, m.rows, m.ncols)
+    try:
+        expected = _from_oracle(m.field, oracle.inv().to_list())
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(SingularTransform):
+            m.inverse()
+        return
+    assert _values(m.inverse().rows) == expected
