@@ -87,7 +87,6 @@ from .weights import (
     classify_scalar_action,
     enumerate_weights,
     find_weight_one_idempotents,
-    is_nil_kernel,
     is_scalar_action,
     kpow,
     nil_kernel_witness,

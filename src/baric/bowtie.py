@@ -6,9 +6,9 @@ product on A1 (+) A2 is
     (a1, a2) * (b1, b2) = (a1 b1 + w2(b2) a1,  a2 b2 + w1(b1) a2)
 
 and the combined weight is (w1 | w2), i.e. w(a1, a2) = w1(a1) + w2(a2).
-The result carries a BowtieTag so that factor-aware operations (block
-embeddings, projections, the ideal calculus) never have to guess the
-split.
+The result carries a BowtieTag with the block split, so that
+factor-aware operations (block embeddings, projections, the ideal
+calculus) never have to guess it; the factor weights are the blocks of w.
 
 The module also provides the closed forms for commutators and
 associators of the product, the family of weight-one idempotents built
@@ -62,26 +62,24 @@ def bowtie(b1: BaricAlgebra, b2: BaricAlgebra) -> BaricAlgebra:
             if w1j:
                 table[(n1 + i, j, n1 + i)] = w1j
     weight = Weight(b1.field, w1 + w2)
-    tag = BowtieTag(n1, n2, b1.weight, b2.weight)
-    return BaricAlgebra(Algebra(b1.field, n1 + n2, table), weight, tag)
+    return BaricAlgebra(Algebra(b1.field, n1 + n2, table), weight, BowtieTag(n1, n2))
 
 
-def _tag(b: BaricAlgebra) -> BowtieTag:
-    if b.provenance is None:
+def _block(b: BaricAlgebra, side: str) -> tuple[int, int]:
+    """(offset, size) of one factor's block of coordinates in the product."""
+    tag = b.provenance
+    if tag is None:
         raise NotABowtie("operation needs factor provenance")
-    return b.provenance
+    if side == "left":
+        return 0, tag.left_dim
+    if side == "right":
+        return tag.left_dim, tag.right_dim
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def factor(b: BaricAlgebra, side: str) -> BaricAlgebra:
-    """Recover a factor from its block of the structure constants."""
-    tag = _tag(b)
-    n1, n2 = tag.left_dim, tag.right_dim
-    if side == "left":
-        lo, size, weight = 0, n1, tag.left_weight
-    elif side == "right":
-        lo, size, weight = n1, n2, tag.right_weight
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    """Recover a factor from its block of the structure constants and of the weight."""
+    lo, size = _block(b, side)
     table = {
         (i - lo, j - lo, k - lo): v
         for (i, j, k), v in b.algebra.table.items()
@@ -90,6 +88,7 @@ def factor(b: BaricAlgebra, side: str) -> BaricAlgebra:
     names = None
     if b.algebra.basis_names is not None:
         names = b.algebra.basis_names[lo : lo + size]
+    weight = Weight(b.field, b.weight.coords[lo : lo + size])
     return BaricAlgebra(Algebra(b.field, size, table, names), weight)
 
 
@@ -99,34 +98,20 @@ def factors(b: BaricAlgebra) -> tuple[BaricAlgebra, BaricAlgebra]:
 
 def embed(b: BaricAlgebra, side: str, x) -> Element:
     """Block-extend a factor element into the product algebra."""
-    tag = _tag(b)
+    lo, size = _block(b, side)
     coords = x.coords if isinstance(x, Element) else tuple(x)
-    n1, n2 = tag.left_dim, tag.right_dim
+    if len(coords) != size:
+        raise DimensionMismatch(f"{side} factor has dimension {size}")
     zero = b.field.zero
-    if side == "left":
-        if len(coords) != n1:
-            raise DimensionMismatch(f"left factor has dimension {n1}")
-        return b.element(tuple(coords) + (zero,) * n2)
-    if side == "right":
-        if len(coords) != n2:
-            raise DimensionMismatch(f"right factor has dimension {n2}")
-        return b.element((zero,) * n1 + tuple(coords))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return b.element((zero,) * lo + tuple(coords) + (zero,) * (b.dim - lo - size))
 
 
 def project(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
     """Coordinate projection of a subspace onto one block, in the factor."""
-    tag = _tag(b)
+    lo, size = _block(b, side)
     if s.ambient_dim != b.dim:
         raise DimensionMismatch("subspace does not live in the product algebra")
-    n1 = tag.left_dim
-    if side == "left":
-        rows = [r[:n1] for r in s.basis]
-        return span(b.field, n1, rows)
-    if side == "right":
-        rows = [r[n1:] for r in s.basis]
-        return span(b.field, tag.right_dim, rows)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return span(b.field, size, [r[lo : lo + size] for r in s.basis])
 
 
 def split_element(b1: BaricAlgebra, b2: BaricAlgebra, x: Element) -> tuple[Element, Element]:

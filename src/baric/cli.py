@@ -231,7 +231,7 @@ def _cmd_verify(args) -> int:
 _CAP_HELP = (
     "most items an exhaustive search may visit: p^n vectors for weight and "
     "idempotent scans, every subspace of the searched space for ideal lattices "
-    "(default: BARIC_CAP, else 2^20)"
+    "(default: 2^20)"
 )
 
 

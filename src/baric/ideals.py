@@ -99,7 +99,11 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
                 if not current.contains_vector(w):
                     current = span(field, a.dim, current.basis + (w,))
                     pending.append([x.value for x in w])
-    return Ideal(current, sidedness(a, current))
+    # the loop closed current under the requested sides; only a right
+    # closure can still be two-sided
+    if side is Sided.RIGHT and _closed(a, current, left=True):
+        side = Sided.TWO_SIDED
+    return Ideal(current, side)
 
 
 def embedded_ideal_check(bow: BaricAlgebra, side: str, ideal: Ideal) -> bool:

@@ -148,11 +148,9 @@ def _read_provenance(prov, b: BaricAlgebra) -> None:
         raise ParseError("provenance: block dimensions must be positive integers")
     if n1 + n2 != b.dim:
         raise ParseError(f"provenance: blocks {n1}+{n2} do not sum to dim {b.dim}")
-    w1 = Weight(b.field, b.weight.coords[:n1])
-    w2 = Weight(b.field, b.weight.coords[n1:])
-    if not (w1.is_nonzero and w2.is_nonzero):
+    if not (any(b.weight.coords[:n1]) and any(b.weight.coords[n1:])):
         raise ParseError("provenance: a factor weight block is zero")
-    b.provenance = BowtieTag(n1, n2, w1, w2)
+    b.provenance = BowtieTag(n1, n2)
     try:
         rebuilt = bowtie(*factors(b)).algebra
     except WeightInvalid:  # a factor block's weight is not multiplicative

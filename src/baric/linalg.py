@@ -15,7 +15,6 @@ subspace is produced exactly once without any dedup storage.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -32,15 +31,13 @@ DEFAULT_ENUMERATION_CAP = 1 << 20
 
 
 def enumeration_cap(override: int | None = None) -> int:
-    """Active enumeration cap: explicit override, else BARIC_CAP, else 2^20.
+    """Active enumeration cap: the explicit override, or 2^20 when it is None.
 
     The cap bounds the number of items an exhaustive search visits: the
     p^dim vectors of iter_vectors, the subspace_count(p, dim) subspaces of
     enumerate_subspaces. A negative cap raises ValueError.
     """
-    cap = override
-    if cap is None:
-        cap = int(os.environ.get("BARIC_CAP", DEFAULT_ENUMERATION_CAP))
+    cap = DEFAULT_ENUMERATION_CAP if override is None else override
     if cap < 0:
         raise ValueError(f"enumeration cap must be nonnegative, got {cap}")
     return cap

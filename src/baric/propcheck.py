@@ -715,13 +715,3 @@ def check(
             if first is None:
                 first = f"trial={t}\n{exc}"
     return PropReport(proposition_id, n, failures, seed, first)
-
-
-def run_all(
-    proposition_ids=None,
-    trials: int | None = None,
-    seed: int = 0,
-    config: RunConfig | None = None,
-) -> list[PropReport]:
-    ids = PROPOSITION_IDS if proposition_ids is None else tuple(proposition_ids)
-    return [check(pid, trials, seed, config) for pid in ids]

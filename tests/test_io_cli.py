@@ -326,18 +326,14 @@ def test_cli_verify_refuses_maxdim_below_one(maxdim, capsys):
     assert main(["verify", "--props", "L3.1", "--trials", "1", "--maxdim", "1"]) == 0
 
 
-def test_cli_negative_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_cli_negative_cap_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "k3.json"
     io.save(kpow(F2, 3), path)
     assert main(["weights", str(path), "--cap", "-1"]) == 2
     assert "error=ValueError" in capsys.readouterr().err
-    monkeypatch.setenv("BARIC_CAP", "-4")
-    assert main(["decompose", str(path)]) == 2
-    assert "error=ValueError" in capsys.readouterr().err
-    # an explicit cap overrides the environment; 0 still refuses any scan
+    # 0 still refuses any scan
     assert main(["weights", str(path), "--cap", "0"]) == 1
     assert "error=EnumerationTooLarge" in capsys.readouterr().err
-    monkeypatch.delenv("BARIC_CAP")
     assert main(["weights", str(path), "--cap", "8"]) == 0
     assert "count=1" in capsys.readouterr().out
 

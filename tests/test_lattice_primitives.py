@@ -182,6 +182,7 @@ def test_sidedness_matches_reference(field, n, scalar, seed):
     for side in (Sided.RIGHT, Sided.TWO_SIDED):
         closure = ideal_closure(a, gens, side)
         assert closure.space == reference_closure(a, gens, side)
+        assert closure.sided is reference_sidedness(a, closure.space)
         candidates.append(closure.space)
     for s in candidates:
         expected = reference_sidedness(a, s)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,6 @@ from baric import (
     classify_scalar_action,
     enumerate_weights,
     find_weight_one_idempotents,
-    is_nil_kernel,
     is_scalar_action,
     kpow,
     nil_kernel_witness,
@@ -69,24 +69,22 @@ def test_enumerate_weights_examples():
 
 def test_nil_kernel_examples():
     k2 = kpow(Q, 2)
-    assert is_nil_kernel(k2)
     assert nil_kernel_witness(k2) is None
 
     # componentwise pair with first-projection weight, glued to the base
     # field: the kernel contains the idempotent ((0,1),0)
     mixed = bowtie(componentwise(Q, 2), kpow(Q, 1))
-    assert not is_nil_kernel(mixed)
     witness = nil_kernel_witness(mixed)
     assert witness is not None and witness * witness == witness
 
     zero_mult = BaricAlgebra(Algebra(Q, 3, {(0, 0, 0): 1}), Weight(Q, [1, 0, 0]))
-    assert is_nil_kernel(zero_mult)
+    assert nil_kernel_witness(zero_mult) is None
 
 
 def test_nil_kernel_implies_unique_weight():
     for seed in range(40):
         b = random_baric(F3, 3, seed=seed)
-        if is_nil_kernel(b):
+        if nil_kernel_witness(b) is None:
             assert enumerate_weights(b.algebra) == [b.weight]
 
 
@@ -154,6 +152,65 @@ def test_baric_isomorphic_by_examples():
     assert not baric_isomorphic_by(doubling, k1, k1)
     singular = Matrix.of(Q, [[0, 0], [0, 0]])
     assert not baric_isomorphic_by(singular, k2, k2)
+
+
+def _oracle_isomorphic_by(f, b1, b2):
+    """x -> x f is a weight-preserving isomorphism, tested on every element pair."""
+    field, n = b1.field, b1.dim
+
+    def image(x):
+        return b2.element([sum((x[i] * f.rows[i][k] for i in range(n)), field.zero) for k in range(n)])
+
+    xs = [b1.element(v) for v in product(range(field.p), repeat=n)]
+    images = {x: image(x.coords) for x in xs}
+    if sum(y.is_zero for y in images.values()) != 1:  # a nonzero x maps to zero
+        return False
+    for x in xs:
+        if b2.weight(images[x]) != b1.weight(x):
+            return False
+        for y in xs:
+            if images[x] * images[y] != image((x * y).coords):
+                return False
+    return True
+
+
+def _random_matrix(rng, field, n, invertible):
+    while True:
+        rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+        if not invertible:
+            # the last row is a combination of the others (zero when n = 1)
+            coeffs = [rng.randrange(field.p) for _ in range(n - 1)]
+            rows[-1] = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)]
+        m = Matrix.of(field, rows)
+        if m.is_invertible == invertible:
+            return m
+
+
+def test_baric_isomorphic_by_matches_element_oracle():
+    rng = random.Random(11)
+    verdicts = []
+    for field in (F2, F3):
+        for n in (1, 2, 3):
+            # K^n has n weights, so t^-1 below is also multiplicative onto
+            # copies that fail only the weight test
+            last = Weight(field, [0] * (n - 1) + [1])
+            sources = [random_baric(field, n, seed=seed) for seed in range(5)]
+            for b1 in sources + [BaricAlgebra(componentwise(field, n).algebra, last)]:
+                t = _random_matrix(rng, field, n, invertible=True)
+                copy = change_basis(b1.algebra, t)
+                # x -> x t^-1 maps b1 onto the copy; only one weight of the copy matches
+                cases = [(t.inverse(), BaricAlgebra(copy, w)) for w in enumerate_weights(copy)]
+                b2 = BaricAlgebra(copy, Weight(field, [b1.weight(r) for r in t.rows]))
+                cases += [
+                    (_random_matrix(rng, field, n, invertible=True), b2),
+                    (_random_matrix(rng, field, n, invertible=False), b2),
+                    (_random_matrix(rng, field, n, invertible=True), b1),
+                ]
+                for f, target in cases:
+                    expected = _oracle_isomorphic_by(f, b1, target)
+                    assert baric_isomorphic_by(f, b1, target) == expected, (b1.algebra.table, f)
+                    verdicts.append(expected)
+    assert verdicts.count(True) >= 36 and verdicts.count(False) >= 36
 
 
 def test_find_weight_one_idempotents():
