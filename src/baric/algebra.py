@@ -1,8 +1,10 @@
 """Finite-dimensional algebras given by structure constants.
 
 An Algebra stores the tensor c[i,j,k] with e_i * e_j = sum_k c[i,j,k] e_k
-as a sparse map; absent entries are zero and zero entries are never
-stored, so structural equality of tensors is meaningful. Elements are
+once, as raw values (int residues over F_p, Fractions over Q) grouped by
+basis pair; absent entries are zero and zero entries are never stored, so
+structural equality of tensors is meaningful. `table` is a FieldElement
+view of the same constants, built when it is read. Elements are
 coordinate vectors tied to their parent algebra and support +, -, scalar
 multiples and the bilinear product.
 """
@@ -10,7 +12,8 @@ multiples and the bilinear product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import product
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularTransform
 from .fields import FieldElement, FieldSpec
@@ -20,7 +23,7 @@ from .linalg import Matrix, Subspace, kernel_basis, row_times_matrix, solve, spa
 class Algebra:
     """A bilinear product on F^dim, described by its structure constants."""
 
-    __slots__ = ("field", "dim", "table", "basis_names", "_by_pair", "_hash")
+    __slots__ = ("field", "dim", "basis_names", "_by_pair", "_hash")
 
     def __init__(
         self,
@@ -31,27 +34,38 @@ class Algebra:
     ):
         if dim < 1:
             raise DimensionMismatch("algebra dimension must be at least 1")
-        clean: dict[tuple[int, int, int], FieldElement] = {}
+        clean = []
         for (i, j, k), v in table.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionMismatch(f"index ({i},{j},{k}) out of range for dim {dim}")
-            fe = field.element(v)
-            if fe:
-                clean[(i, j, k)] = fe
-        # raw values (int residues, Fractions) for the kernels below
+            c = field.element(v).value
+            if c:
+                clean.append(((i, j, k), c))
+        # (i, j) -> ((k, c), ...) in lexicographic order, raw values only
         by_pair: dict[tuple[int, int], list[tuple[int, object]]] = {}
-        for (i, j, k), fe in sorted(clean.items()):
-            by_pair.setdefault((i, j), []).append((k, fe.value))
+        for (i, j, k), c in sorted(clean):
+            by_pair.setdefault((i, j), []).append((k, c))
         if basis_names is not None:
             basis_names = tuple(basis_names)
             if len(basis_names) != dim:
                 raise DimensionMismatch("one basis name per dimension")
         self.field = field
         self.dim = dim
-        self.table = clean
         self.basis_names = basis_names
         self._by_pair = {p: tuple(entries) for p, entries in by_pair.items()}
         self._hash = None
+
+    def entries(self) -> Iterator[tuple[tuple[int, int, int], object]]:
+        """The nonzero constants as ((i, j, k), raw c), in lexicographic order."""
+        for (i, j), row in self._by_pair.items():
+            for k, c in row:
+                yield (i, j, k), c
+
+    @property
+    def table(self) -> dict[tuple[int, int, int], FieldElement]:
+        """The nonzero constants as FieldElements: a fresh dict on every read."""
+        pairs = list(self.entries())
+        return dict(zip([key for key, _ in pairs], self.field.wrap([c for _, c in pairs])))
 
     # -- product machinery -------------------------------------------------
     # The kernels compute on raw values: unreduced ints over F_p, Fractions
@@ -116,18 +130,16 @@ class Algebra:
         return (
             self.field is other.field
             and self.dim == other.dim
-            and self.table == other.table
+            and self._by_pair == other._by_pair
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                (self.field.p, self.dim, tuple(sorted(self.table.items())))
-            )
+            self._hash = hash((self.field.p, self.dim, tuple(self._by_pair.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Algebra(dim={self.dim}, field={self.field.token}, nnz={len(self.table)})"
+        return f"Algebra(dim={self.dim}, field={self.field.token}, nnz={sum(map(len, self._by_pair.values()))})"
 
 
 class Element:
@@ -212,62 +224,61 @@ class PropertyFlags:
 
 
 def _is_commutative(a: Algebra) -> bool:
-    for (i, j, k), v in a.table.items():
-        if a.table.get((j, i, k)) != v:
-            return False
-    return True
+    by_pair = a._by_pair
+    return all(by_pair.get((j, i)) == entries for (i, j), entries in by_pair.items())
 
 
-def _is_associative(a: Algebra) -> bool:
-    # (e_i e_j) e_k = e_i (e_j e_k) on every basis triple
-    n, wrap = a.dim, a.field.wrap
+def _associator_laws(a: Algebra, commutative: bool) -> tuple[bool, bool, bool]:
+    """(associative, left alternative, right alternative), decided exactly.
+
+    All three are read off the basis associators
+    A(i,j,k) = (e_i e_j) e_k - e_i (e_j e_k), tested for zero on raw values.
+    The associator is trilinear, so (x,x,y) = sum_i x_i^2 A(i,i,y) +
+    sum_{i<j} x_i x_j (A(i,j,y) + A(j,i,y)); evaluating at e_i and e_i + e_j
+    shows it vanishes identically exactly when A(i,i,k) = 0 and
+    A(i,j,k) + A(j,i,k) = 0 for i < j, over every field including F_2. The
+    right law is the mirror image. An associative algebra satisfies both
+    laws, and in a commutative one (y,x,x) = -(x,x,y), so the right law is
+    the left law.
+    """
+    n, p = a.dim, a.field.p
     units = [[int(m == i) for m in range(n)] for i in range(n)]
     pairs = [[a.times_basis(e, j, left=False) for j in range(n)] for e in units]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = a.times_basis(pairs[i][j], k, left=False)
-                rhs = a.times_basis(pairs[j][k], i, left=True)
-                if wrap(lhs) != wrap(rhs):
-                    return False
-    return True
 
+    def assoc(i, j, k):
+        lhs = a.times_basis(pairs[i][j], k, left=False)
+        rhs = a.times_basis(pairs[j][k], i, left=True)
+        return [s - t for s, t in zip(lhs, rhs)]
 
-def _alternative(a: Algebra, left: bool) -> bool:
-    # (x,x,y) = 0 (or (x,y,y) = 0) is quadratic in the repeated slot, so
-    # checking it on e_i and on e_i + e_j for i < j is complete over every
-    # field, including characteristic 2 where the polarized identity alone
-    # is weaker.
-    n, wrap = a.dim, a.field.wrap
-    for i in range(n):
-        for j in range(i, n):
-            v = [0] * n
-            v[i] = v[j] = 1  # e_i when j == i, else e_i + e_j
-            vv = a.times(v, v)
-            for k in range(n):
-                if left:  # (v v) e_k = v (v e_k)
-                    lhs = a.times_basis(vv, k, left=False)
-                    rhs = a.times(v, a.times_basis(v, k, left=False))
-                else:  # e_k (v v) = (e_k v) v
-                    lhs = a.times_basis(vv, k, left=True)
-                    rhs = a.times(a.times_basis(v, k, left=True), v)
-                if wrap(lhs) != wrap(rhs):
-                    return False
-    return True
+    def is_zero(v):
+        return not any(v) if p is None else not any([x % p for x in v])
+
+    if all(is_zero(assoc(i, j, k)) for i, j, k in product(range(n), repeat=3)):
+        return True, True, True
+
+    def law(a_of):  # a_of(i, j, k) is A(i,j,k), or A(k,i,j) for the right law
+        return all(
+            is_zero(a_of(i, i, k)) if i == j
+            else is_zero([s + t for s, t in zip(a_of(i, j, k), a_of(j, i, k))])
+            for i, j, k in product(range(n), repeat=3)
+            if i <= j
+        )
+
+    left = law(assoc)
+    right = left if commutative else law(lambda i, j, k: assoc(k, i, j))
+    return False, left, right
 
 
 def _find_unit(a: Algebra) -> Element | None:
     # solve u*e_j = e_j and e_j*u = e_j as one linear system in u
     n = a.dim
+    rows = [[0] * n for _ in range(2 * n * n)]
+    for (i, j, k), c in a.entries():
+        rows[2 * (j * n + k)][i] = c  # (u e_j)_k gets u_i c[i,j,k]
+        rows[2 * (i * n + k) + 1][j] = c  # (e_i u)_k gets u_j c[i,j,k]
     zero, one = a.field.zero, a.field.one
-    rows, rhs = [], []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(a.table.get((i, j, k), zero) for i in range(n)))
-            rhs.append(one if j == k else zero)
-            rows.append(tuple(a.table.get((j, i, k), zero) for i in range(n)))
-            rhs.append(one if j == k else zero)
-    sol = solve(Matrix(a.field, rows, n), rhs)
+    rhs = [one if j == k else zero for j in range(n) for k in range(n) for _ in range(2)]
+    sol = solve(Matrix(a.field, [a.field.wrap(r) for r in rows], n), rhs)
     if sol is None:
         return None
     return Element(a, sol)
@@ -276,17 +287,20 @@ def _find_unit(a: Algebra) -> Element | None:
 def property_flags(a: Algebra) -> PropertyFlags:
     """Decide commutativity, associativity, alternativity and unitality.
 
-    All checks run on basis tuples (plus e_i + e_j repeats for the
-    alternative laws), which is exact for multilinear identities; the unit
-    is found by solving a linear system since it need not be a basis
+    Commutativity compares each basis pair's constants with its mirror's.
+    Associativity and both alternative laws come from one kernel over the
+    basis associators, exact over every field (see _associator_laws). The
+    unit is found by solving a linear system since it need not be a basis
     vector.
     """
+    commutative = _is_commutative(a)
+    associative, left, right = _associator_laws(a, commutative)
     unit = _find_unit(a)
     return PropertyFlags(
-        commutative=_is_commutative(a),
-        associative=_is_associative(a),
-        left_alternative=_alternative(a, left=True),
-        right_alternative=_alternative(a, left=False),
+        commutative=commutative,
+        associative=associative,
+        left_alternative=left,
+        right_alternative=right,
         unital=unit is not None,
         unit=unit,
     )
@@ -298,17 +312,11 @@ def commutative_center(a: Algebra) -> Subspace:
     Computed as the kernel of the stacked maps x -> x*e_j - e_j*x.
     """
     n = a.dim
-    zero = a.field.zero
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(
-                tuple(
-                    a.table.get((i, j, k), zero) - a.table.get((j, i, k), zero)
-                    for i in range(n)
-                )
-            )
-    basis = kernel_basis(Matrix(a.field, rows, n))
+    rows = [[0] * n for _ in range(n * n)]
+    for (i, j, k), c in a.entries():
+        rows[j * n + k][i] += c  # (x e_j - e_j x)_k gets x_i (c[i,j,k] - c[j,i,k])
+        rows[i * n + k][j] -= c
+    basis = kernel_basis(Matrix(a.field, [a.field.wrap(r) for r in rows], n))
     return span(a.field, n, basis)
 
 
@@ -318,9 +326,10 @@ def change_basis(a: Algebra, t: Matrix) -> Algebra:
         raise DimensionMismatch(f"basis change must be {a.dim}x{a.dim}")
     if t.field is not a.field:
         raise FieldMismatch("basis change over a different field")
-    if not t.is_invertible:
-        raise SingularTransform("basis change matrix is singular")
-    tinv = t.inverse()
+    try:
+        tinv = t.inverse()
+    except SingularTransform:
+        raise SingularTransform("basis change matrix is singular") from None
     table: dict[tuple[int, int, int], FieldElement] = {}
     for i in range(a.dim):
         for j in range(a.dim):

@@ -47,11 +47,9 @@ def bowtie(b1: BaricAlgebra, b2: BaricAlgebra) -> BaricAlgebra:
     if b1.field is not b2.field:
         raise FieldMismatch("factors must share a field")
     n1, n2 = b1.dim, b2.dim
-    table: dict[tuple[int, int, int], FieldElement] = {}
-    for (i, j, k), v in b1.algebra.table.items():
-        table[(i, j, k)] = v
-    for (i, j, k), v in b2.algebra.table.items():
-        table[(n1 + i, n1 + j, n1 + k)] = v
+    table = dict(b1.algebra.entries())
+    for (i, j, k), c in b2.algebra.entries():
+        table[(n1 + i, n1 + j, n1 + k)] = c
     w1, w2 = b1.weight.coords, b2.weight.coords
     for i in range(n1):
         for j, w2j in enumerate(w2):
@@ -81,8 +79,8 @@ def factor(b: BaricAlgebra, side: str) -> BaricAlgebra:
     """Recover a factor from its block of the structure constants and of the weight."""
     lo, size = _block(b, side)
     table = {
-        (i - lo, j - lo, k - lo): v
-        for (i, j, k), v in b.algebra.table.items()
+        (i - lo, j - lo, k - lo): c
+        for (i, j, k), c in b.algebra.entries()
         if lo <= i < lo + size and lo <= j < lo + size and lo <= k < lo + size
     }
     names = None

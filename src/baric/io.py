@@ -65,9 +65,7 @@ def algebra_to_document(b: BaricAlgebra) -> dict:
     }
     if b.algebra.basis_names is not None:
         doc["basis"] = list(b.algebra.basis_names)
-    doc["mul"] = [
-        [i, j, k, str(v)] for (i, j, k), v in sorted(b.algebra.table.items())
-    ]
+    doc["mul"] = [[i, j, k, str(c)] for (i, j, k), c in b.algebra.entries()]
     doc["weight"] = [str(w) for w in b.weight.coords]
     if b.provenance is not None:
         doc["provenance"] = {

@@ -91,25 +91,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field is not other.field:
-            raise FieldMismatch("matrix product across fields")
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        cols = other.transpose().rows
-        zero = self.field.zero
-        out = []
-        for r in self.rows:
-            out_row = []
-            for c in cols:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(self.field, out, other.ncols)
-
     def rref(self) -> "Matrix":
         """Reduced row-echelon form, zero rows kept at the bottom."""
         rows, _ = _rref(self.field, self.rows, self.ncols)

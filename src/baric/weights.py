@@ -110,8 +110,6 @@ class BaricAlgebra:
     __slots__ = ("algebra", "weight", "provenance")
 
     def __init__(self, algebra: Algebra, weight: Weight, provenance: BowtieTag | None = None):
-        if len(weight) != algebra.dim:
-            raise DimensionMismatch("weight length does not match the algebra dimension")
         if not validate_weight(algebra, weight):
             raise WeightInvalid("weight is zero or not multiplicative on basis pairs")
         self.algebra = algebra

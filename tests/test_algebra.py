@@ -91,6 +91,13 @@ def test_alternative_flags_over_f2():
     flags = property_flags(dd.algebra)
     assert not flags.associative
     assert not flags.left_alternative or not flags.right_alternative
+    # one-sided examples: a left law without the right one, and the reverse
+    left_only = Algebra(F2, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (2, 0, 1): 1})
+    flags = property_flags(left_only)
+    assert (flags.associative, flags.left_alternative, flags.right_alternative) == (False, True, False)
+    right_only = Algebra(F2, 3, {(0, 1, 2): 1, (1, 0, 2): 1, (1, 2, 0): 1})
+    flags = property_flags(right_only)
+    assert (flags.associative, flags.left_alternative, flags.right_alternative) == (False, False, True)
 
 
 def test_commutative_center_examples():
@@ -124,7 +131,7 @@ def test_change_basis_examples():
     moved = change_basis(b.algebra, t)
     assert moved == scalar_action(Q, [1, 1]).algebra
 
-    with pytest.raises(SingularTransform):
+    with pytest.raises(SingularTransform, match="basis change matrix is singular"):
         change_basis(k2.algebra, Matrix.of(Q, [[1, 1], [1, 1]]))
 
 

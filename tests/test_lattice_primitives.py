@@ -8,7 +8,7 @@ construction written in FieldElement arithmetic that shares none of
 those kernels: `span` of rows mapped by `row_times_matrix`; products as
 the triple sum over the structure constants `a.table`; membership as
 "adding the vector to the basis leaves the `span` dimension unchanged";
-and, over F_2, the algebra identities checked on every element.
+and, over F_2 and F_3, the algebra identities checked on every element.
 """
 
 import random
@@ -191,17 +191,31 @@ def test_sidedness_matches_reference(field, n, scalar, seed):
 
 
 @st.composite
-def small_algebras(draw, fields):
-    """Sparse random tensors of dim <= 4, with associative families mixed in."""
+def small_algebras(draw, fields, max_dim=4, commutative=False):
+    """Sparse random tensors of dim <= max_dim, with associative families mixed in.
+
+    With commutative=True, symmetrized sparse tensors (c[i,j,k] = c[j,i,k])
+    join the mix.
+    """
     field = draw(st.sampled_from(fields))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_dim))
     rng = random.Random(draw(st.integers(0, 10_000)))
-    kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "scalar", "chain"]))
+    kinds = ["sparse", "sparse", "sparse", "scalar", "chain"]
+    if commutative:
+        kinds += ["commutative", "commutative"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "scalar":
         return scalar_action(field, [rng.randrange(2) for _ in range(n - 1)] + [1]).algebra
     if kind == "chain":
         return truncated_polynomials(field, n).algebra
-    return _random_algebra(rng, field, n, draw(st.sampled_from([0.1, 0.2, 0.3])))
+    a = _random_algebra(rng, field, n, draw(st.sampled_from([0.1, 0.2, 0.3])))
+    if kind == "commutative":  # keep the i <= j half and mirror it
+        table = {}
+        for (i, j, k), c in a.table.items():
+            if i <= j:
+                table[i, j, k] = table[j, i, k] = c
+        return Algebra(field, n, table)
+    return a
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,25 +230,33 @@ def test_product_matches_triple_sum(a, seed):
             assert a.product_coords(e, f) == list(reference_product(a, e, f))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_algebras([F2]))
-def test_identity_flags_match_every_element_over_f2(a):
-    elements = [tuple(v) for v in product(F2.elements(), repeat=a.dim)]
-    mul = {(x, y): reference_product(a, x, y) for x in elements for y in elements}
-    associative = all(
-        mul[mul[x, y], z] == mul[x, mul[y, z]]
-        for x in elements
-        for y in elements
-        for z in elements
-    )
-    left = all(mul[mul[x, x], y] == mul[x, mul[x, y]] for x in elements for y in elements)
-    right = all(mul[y, mul[x, x]] == mul[mul[y, x], x] for x in elements for y in elements)
+def assert_flags_match_every_element(a: Algebra) -> None:
+    """Check the identity flags of an algebra over a finite field on every element."""
+    elements = [tuple(v) for v in product(a.field.elements(), repeat=a.dim)]
+    index = {x: m for m, x in enumerate(elements)}
+    mul = [[index[reference_product(a, x, y)] for y in elements] for x in elements]
+    every = range(len(elements))
+    associative = all(mul[mul[x][y]][z] == mul[x][mul[y][z]] for x in every for y in every for z in every)
+    left = all(mul[mul[x][x]][y] == mul[x][mul[x][y]] for x in every for y in every)
+    right = all(mul[y][mul[x][x]] == mul[mul[y][x]][x] for x in every for y in every)
     flags = property_flags(a)
     assert (flags.associative, flags.left_alternative, flags.right_alternative) == (
         associative,
         left,
         right,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras([F2], commutative=True))
+def test_identity_flags_match_every_element_over_f2(a):
+    assert_flags_match_every_element(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_algebras([F3], max_dim=3, commutative=True))
+def test_identity_flags_match_every_element_over_f3(a):
+    assert_flags_match_every_element(a)
 
 
 def test_closure_spins_to_the_fixpoint():
