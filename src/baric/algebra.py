@@ -276,9 +276,15 @@ def _find_unit(a: Algebra) -> Element | None:
     for (i, j, k), c in a.entries():
         rows[2 * (j * n + k)][i] = c  # (u e_j)_k gets u_i c[i,j,k]
         rows[2 * (i * n + k) + 1][j] = c  # (e_i u)_k gets u_j c[i,j,k]
-    zero, one = a.field.zero, a.field.one
-    rhs = [one if j == k else zero for j in range(n) for k in range(n) for _ in range(2)]
-    sol = solve(Matrix(a.field, [a.field.wrap(r) for r in rows], n), rhs)
+    rhs = [int(j == k) for j in range(n) for k in range(n) for _ in range(2)]
+    # the system has rank at most n + 1: drop repeated equations and 0 = 0
+    # before eliminating; 0 = 1 means there is no unit
+    system = dict.fromkeys(zip(map(tuple, rows), rhs))
+    if any(b and not any(row) for row, b in system):
+        return None
+    system = [(row, b) for row, b in system if any(row)]
+    wrap = a.field.wrap
+    sol = solve(Matrix(a.field, [wrap(row) for row, _ in system], n), wrap([b for _, b in system]))
     if sol is None:
         return None
     return Element(a, sol)

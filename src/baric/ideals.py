@@ -5,9 +5,12 @@ the block embeddings and projections of a bowtie product, the pairing
 between factor kernel-ideals and kernel-ideals of the product, and
 decomposability of the kernel into two nonzero ideals.
 
-Exhaustive decisions (ideal lattices, decomposability) are only offered
-over prime fields, where subspace enumeration is finite; over the
-rationals decomposability is reported as undecided.
+Exact decisions (ideal lattices, decomposability) are only offered over
+prime fields; over the rationals decomposability is reported as
+undecided. Ideal lattices test every subspace, within the enumeration
+cap. Decomposability first tries a certificate from the endomorphism
+ring of Ker w, which visits no subspace and needs no cap, and only then
+a capped search for the first witness pair in enumeration order.
 
 The module keeps no arithmetic of its own: images of basis vectors come
 from Algebra.times_basis and membership from linalg.raw_residue, both on
@@ -17,6 +20,7 @@ Subspace stores.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from typing import Sequence
 
@@ -28,7 +32,14 @@ from .errors import (
     DimensionMismatch,
     FactorsNotCommutativeUnital,
 )
-from .linalg import Subspace, enumerate_subspaces, raw_residue, span
+from .linalg import (
+    Subspace,
+    check_subspace_cap,
+    enumerate_subspaces,
+    raw_residue,
+    span,
+    subspaces_of_dim,
+)
 from .weights import BaricAlgebra, find_weight_one_idempotents
 
 
@@ -238,13 +249,65 @@ class Decomposability:
     n2: Subspace | None = None
 
 
+def _commutant_dim(a: Algebra, v: Subspace) -> int:
+    """dim E for E = End_M(V), V a two-sided ideal of `a` over a prime field.
+
+    M is generated by the maps L_j(x) = e_j * x and R_j(x) = x * e_j
+    restricted to V. Each generator G is read in V's RREF coordinates (a
+    vector of V is the sum of its entries at V.pivots times the matching
+    rows), so E is {X : XG = GX for every G}, the solutions of d^2 unknowns.
+    Entry (r, c) of XG - GX is one sparse equation; each is reduced into an
+    echelon basis as it comes, and the count stops at rank d^2 - 1, because
+    the scalars always lie in E.
+    """
+    p, d = a.field.p, v.dim
+    echelon: dict[int, dict[int, int]] = {}  # leading unknown -> row, leading coefficient 1
+    for j in range(a.dim):
+        for left in (False, True):
+            g = [[a.times_basis(row, j, left)[pc] % p for pc in v.pivots] for row in v.rows]
+            for r in range(d):
+                for c in range(d):
+                    # (XG - GX)[r][c] = sum_m X[r][m] G[m][c] - G[r][m] X[m][c]
+                    eq = defaultdict(int)
+                    for m in range(d):
+                        eq[r * d + m] += g[m][c]
+                        eq[m * d + c] -= g[r][m]
+                    while eq := {u: x % p for u, x in eq.items() if x % p}:
+                        lead = min(eq)
+                        row = echelon.get(lead)
+                        if row is None:
+                            inv = pow(eq[lead], -1, p)
+                            echelon[lead] = {u: x * inv % p for u, x in eq.items()}
+                            if len(echelon) == d * d - 1:
+                                return 1
+                            break
+                        f = eq[lead]
+                        for u, x in row.items():
+                            eq[u] = eq.get(u, 0) - f * x
+    return d * d - len(echelon)
+
+
 def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
     """Split Ker w into two nonzero ideals, if possible.
 
     The algebra must have an idempotent of weight one to qualify; absent
-    one the outcome is NO_WEIGHT1_IDEMPOTENT. Over a prime field the
-    kernel-ideal lattice is enumerated exhaustively and the decision is
-    exact. Over the rationals the outcome is UNDECIDED.
+    one the outcome is NO_WEIGHT1_IDEMPOTENT. Over the rationals the
+    outcome is then UNDECIDED. Over a prime field the decision is exact:
+
+    - Certificate. The ideals inside V = Ker w are the subspaces every
+      e_j * (.) and (.) * e_j maps into itself. If the ring E of linear
+      maps of V commuting with all of those is just the scalars, V is
+      INDECOMPOSABLE: by Fitting's lemma the projection of a splitting
+      V = N1 + N2 would be a non-scalar element of E. No subspace is
+      visited, and the cap does not apply.
+    - Witness search. Otherwise the cap bounds the subspaces of V (the
+      search may visit nearly all of them; see check_subspace_cap). For
+      k = 1 .. dim V // 2 the ideals of dimension dim V - k are listed
+      once and those of dimension k are walked lazily, both in
+      enumeration order; the first complementary pair (n1, n2) is the
+      witness, n1 of dimension k and, when both have the same dimension,
+      n2 after n1. That is the first pair with n2 at or after n1 in the
+      whole lattice's order. With no pair the outcome is INDECOMPOSABLE.
     """
     idems = find_weight_one_idempotents(b, cap, limit=1)
     if not idems:
@@ -252,14 +315,22 @@ def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
     idem = idems[0]
     if not b.field.is_finite:
         return Decomposability(DecompOutcome.UNDECIDED, idem)
-    kernel = b.kernel()
-    candidates = [s for s in kernel_ideals(b, cap) if s.dim > 0]
-    for i, n1 in enumerate(candidates):
-        for n2 in candidates[i:]:
-            if (
-                n1.dim + n2.dim == kernel.dim
-                and n1.intersect(n2).dim == 0
-                and n1.sum(n2) == kernel
-            ):
-                return Decomposability(DecompOutcome.DECOMPOSABLE, idem, n1, n2)
+    a, kernel = b.algebra, b.kernel()
+    if _commutant_dim(a, kernel) == 1:
+        return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)
+    check_subspace_cap(kernel, cap)
+    d = kernel.dim
+    for k in range(1, d // 2 + 1):
+        large = [s for s in subspaces_of_dim(kernel, d - k) if is_two_sided_ideal(a, s)]
+        if not large:
+            continue
+        if 2 * k == d:
+            pairs = ((n1, large[i + 1:]) for i, n1 in enumerate(large))
+        else:
+            small = (s for s in subspaces_of_dim(kernel, k) if is_two_sided_ideal(a, s))
+            pairs = ((n1, large) for n1 in small)
+        for n1, partners in pairs:
+            for n2 in partners:
+                if n1.intersect(n2).dim == 0 and n1.sum(n2) == kernel:
+                    return Decomposability(DecompOutcome.DECOMPOSABLE, idem, n1, n2)
     return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)

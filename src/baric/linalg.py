@@ -375,47 +375,67 @@ def subspace_count(p: int, d: int) -> int:
     return total
 
 
+def check_subspace_cap(ambient: Subspace, cap: int | None = None) -> None:
+    """Refuse an ambient with more subspaces than the cap, before any is visited.
+
+    The count is subspace_count(p, dim(ambient)). Requires a finite field.
+    """
+    p = ambient.field.p
+    if p is None:
+        raise FieldNotFinite("subspace enumeration needs a finite field")
+    total = subspace_count(p, ambient.dim)
+    if total > enumeration_cap(cap):
+        raise EnumerationTooLarge(
+            f"F_{p}^{ambient.dim} has {total} subspaces, more than the enumeration cap"
+        )
+
+
 def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[Subspace]:
     """Every subspace of `ambient`, each exactly once, in canonical form.
 
-    Walks pivot-column patterns of reduced-echelon coefficient matrices C
-    and fills the free positions with all residues, so the output needs no
-    deduplication. Each subspace is C @ B for the ambient's basis B; the
-    product of two reduced-echelon matrices is reduced-echelon (B's pivot
-    columns are unit vectors, so they copy C's), hence already canonical,
-    and its pivot columns are B's at C's pivots. The arithmetic runs on the
-    raw rows of the ambient. Requires a finite field, and the cap bounds
-    the number of subspaces visited, subspace_count(p, dim(ambient)).
+    Ordered by dimension, then as subspaces_of_dim lists them. Requires a
+    finite field, and the cap bounds the number of subspaces visited,
+    subspace_count(p, dim(ambient)) (see check_subspace_cap).
+    """
+    check_subspace_cap(ambient, cap)
+    for k in range(ambient.dim + 1):
+        yield from subspaces_of_dim(ambient, k)
+
+
+def subspaces_of_dim(ambient: Subspace, k: int) -> Iterator[Subspace]:
+    """Every k-dimensional subspace of `ambient`, each exactly once, in canonical form.
+
+    Walks pivot-column patterns of k-row reduced-echelon coefficient
+    matrices C, in lexicographic order, and fills the free positions with
+    all residues, so the output needs no deduplication. Each subspace is
+    C @ B for the ambient's basis B; the product of two reduced-echelon
+    matrices is reduced-echelon (B's pivot columns are unit vectors, so
+    they copy C's), hence already canonical, and its pivot columns are B's
+    at C's pivots. The arithmetic runs on the raw rows of the ambient.
+    Requires a finite field; there is no cap here, so callers check one
+    first (check_subspace_cap).
     """
     field = ambient.field
     p = field.p
-    if p is None:
-        raise FieldNotFinite("subspace enumeration needs a finite field")
     d = ambient.dim
-    total = subspace_count(p, d)
-    if total > enumeration_cap(cap):
-        raise EnumerationTooLarge(
-            f"F_{p}^{d} has {total} subspaces, more than the enumeration cap"
-        )
     n = ambient.ambient_dim
     dense = ambient.rows
     sparse = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
-    for k in range(d + 1):
-        for pivots in combinations(range(d), k):
-            pivot_set = set(pivots)
-            row_pivots = tuple([ambient.pivots[pc] for pc in pivots])
-            free_pos = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, d)
-                if c not in pivot_set
-            ]
-            for fill in product(range(p), repeat=len(free_pos)):
-                # row r of C @ B is B[pivots[r]] plus val * B[c] over its free (r, c)
-                rows = [list(dense[pc]) for pc in pivots]
-                for (r, c), val in zip(free_pos, fill):
-                    if val:
-                        row = rows[r]
-                        for j, bj in sparse[c]:
-                            row[j] += val * bj
-                yield Subspace(field, n, tuple([tuple([x % p for x in row]) for row in rows]), row_pivots)
+    for pivots in combinations(range(d), k):
+        pivot_set = set(pivots)
+        row_pivots = tuple([ambient.pivots[pc] for pc in pivots])
+        free_pos = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, d)
+            if c not in pivot_set
+        ]
+        for fill in product(range(p), repeat=len(free_pos)):
+            # row r of C @ B is B[pivots[r]] plus val * B[c] over its free (r, c)
+            rows = [list(dense[pc]) for pc in pivots]
+            for (r, c), val in zip(free_pos, fill):
+                if val:
+                    row = rows[r]
+                    for j, bj in sparse[c]:
+                        row[j] += val * bj
+            yield Subspace(field, n, tuple([tuple([x % p for x in row]) for row in rows]), row_pivots)

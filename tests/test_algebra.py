@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from baric import (
     kpow,
     property_flags,
 )
+from baric.algebra import _find_unit
 from baric.catalog import dual_numbers, scalar_action
 
 Q = FieldSpec.rationals()
@@ -192,3 +194,48 @@ def test_element_errors():
         d2.element([1, 2, 3])
     with pytest.raises(DimensionMismatch):
         d2.element([1, 0]) * k2.element([1, 0])
+
+
+def _brute_force_unit(a):
+    """The element u with u*e_j = e_j = e_j*u for every j, found by trying all of F^n."""
+    field, n = a.field, a.dim
+    basis = [a.basis_element(j) for j in range(n)]
+    for coords in product(range(field.p), repeat=n):
+        u = a.element(coords)
+        if all(u * e == e and e * u == e for e in basis):
+            return u
+    return None
+
+
+def _random_unit_test_algebra(rng, field, n):
+    """Sparse random constants; half the time e_0 is pinned as unit and the basis changed."""
+    unital = rng.random() < 0.5
+    density = rng.choice([0.0, 0.2, 0.5, 0.9])
+    table = {}
+    for i, j, k in product(range(n), repeat=3):
+        if unital and 0 in (i, j):
+            continue
+        if rng.random() < density:
+            table[(i, j, k)] = rng.randrange(field.p)
+    if unital:
+        for j in range(n):
+            table[(0, j, j)] = table[(j, 0, j)] = 1
+    a = Algebra(field, n, table)
+    if unital:
+        t = Matrix.of(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+        if t.is_invertible:
+            a = change_basis(a, t)
+    return a
+
+
+@pytest.mark.parametrize("field", [F2, FieldSpec.prime(3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_find_unit_matches_brute_force(field, n):
+    rng = random.Random(n * 100 + field.p)
+    found = 0
+    for _ in range(150):
+        a = _random_unit_test_algebra(rng, field, n)
+        unit = _find_unit(a)
+        assert unit == _brute_force_unit(a)
+        found += unit is not None
+    assert 0 < found < 150

@@ -1,26 +1,36 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baric import (
+    Algebra,
+    BaricAlgebra,
     DecompOutcome,
     FactorsNotCommutativeUnital,
     FieldSpec,
     Ideal,
     Sided,
     Subspace,
+    Weight,
     bowtie,
     decomposability,
     embedded_ideal_check,
     enumerate_subspaces,
+    find_weight_one_idempotents,
     ideal_closure,
     is_two_sided_ideal,
     kernel_ideal_bijection,
     kernel_ideals,
     kpow,
     project_ideal,
+    random_baric,
     sidedness,
     span_of,
 )
 from baric.catalog import componentwise, dual_numbers, truncated_polynomials
+from baric.ideals import _commutant_dim
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -235,3 +245,128 @@ def test_indecomposability_preserved_for_fixed_family():
         for b2 in family:
             result = decomposability(bowtie(b1, b2))
             assert result.outcome is DecompOutcome.INDECOMPOSABLE
+
+
+def reference_decomposability(b):
+    """The brute-force decision: every kernel ideal, then every ordered pair.
+
+    The lattice is listed by testing each subspace of Ker w, and the first
+    complementary pair (n1, n2) with n2 at or after n1 in enumeration order
+    is the witness.
+    """
+    idems = find_weight_one_idempotents(b, limit=1)
+    if not idems:
+        return DecompOutcome.NO_WEIGHT1_IDEMPOTENT, None, None, None
+    kernel = b.kernel()
+    candidates = [
+        s for s in enumerate_subspaces(kernel)
+        if s.dim > 0 and is_two_sided_ideal(b.algebra, s)
+    ]
+    for i, n1 in enumerate(candidates):
+        for n2 in candidates[i:]:
+            if (
+                n1.dim + n2.dim == kernel.dim
+                and n1.intersect(n2).dim == 0
+                and n1.sum(n2) == kernel
+            ):
+                return DecompOutcome.DECOMPOSABLE, idems[0], n1, n2
+    return DecompOutcome.INDECOMPOSABLE, idems[0], None, None
+
+
+def _catalog_baric(field, kind, n):
+    if kind == "truncated":
+        return truncated_polynomials(field, n)
+    if kind == "componentwise":
+        return componentwise(field, n)
+    return kpow(field, n)
+
+
+def assert_matches_reference(b):
+    result = decomposability(b)
+    outcome, idempotent, n1, n2 = reference_decomposability(b)
+    assert result.outcome is outcome
+    assert result.idempotent == idempotent
+    assert result.n1 == n1 and result.n2 == n2
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([F2, F3]),
+    st.integers(1, 5),
+    st.sampled_from(["general", "commutative", "commutative_unital"]),
+    st.integers(0, 10_000),
+)
+def test_decomposability_matches_lattice_search(field, n, kind, seed):
+    flags = {
+        "general": {},
+        "commutative": {"commutative": True},
+        "commutative_unital": {"commutative": True, "unital": True},
+    }[kind]
+    assert_matches_reference(random_baric(field, n, seed=seed, **flags))
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("kind", ["truncated", "componentwise", "kpow"])
+def test_decomposability_matches_lattice_search_on_catalog(field, kind):
+    for n in range(1, 6 if field is F2 else 5):
+        assert_matches_reference(_catalog_baric(field, kind, n))
+
+
+def test_decomposability_matches_lattice_search_on_products():
+    assert_matches_reference(bowtie(componentwise(F2, 2), truncated_polynomials(F2, 3)))
+    assert_matches_reference(bowtie(dual_numbers(F3), componentwise(F3, 2)))
+
+
+def _brute_force_commutant_count(a, v):
+    """Number of d x d matrices X over F_p with XG = GX for every generator G.
+
+    G runs over e_j * (.) and (.) * e_j on V, with V's basis coordinates of
+    each image found by trying every coefficient vector.
+    """
+    p, d = a.field.p, v.dim
+    combos = {}
+    for coeffs in product(range(p), repeat=d):
+        vec = [0] * a.dim
+        for c, row in zip(coeffs, v.basis):
+            vec = [x + c * y.value for x, y in zip(vec, row)]
+        combos[tuple(x % p for x in vec)] = coeffs
+    generators = []
+    for j in range(a.dim):
+        e = a.basis_element(j).coords
+        for left in (False, True):
+            images = [a.product_coords(e, r) if left else a.product_coords(r, e) for r in v.basis]
+            generators.append([combos[tuple(x.value for x in image)] for image in images])
+
+    def mul(x, y):
+        return [[sum(x[r][m] * y[m][c] for m in range(d)) % p for c in range(d)] for r in range(d)]
+
+    count = 0
+    for entries in product(range(p), repeat=d * d):
+        x = [entries[r * d:(r + 1) * d] for r in range(d)]
+        count += all(mul(x, g) == mul(g, x) for g in generators)
+    return count
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(F2, 4), (F3, 3)]),
+    st.data(),
+)
+def test_commutant_dim_matches_brute_force_count(field_and_max, data):
+    field, max_n = field_and_max
+    n = data.draw(st.integers(1, max_n))
+    kind = data.draw(st.sampled_from(["general", "commutative", "commutative_unital", "catalog", "left"]))
+    if kind == "catalog":
+        b = _catalog_baric(field, data.draw(st.sampled_from(["truncated", "componentwise", "kpow"])), n)
+    elif kind == "left":
+        # e0 e0 = e0 and e0 e_i = sum_k A[i][k] e_k on the kernel, all else
+        # zero: only the left map of e0 acts, so E is the commutant of A
+        entries = data.draw(st.lists(st.integers(0, field.p - 1), min_size=n * n, max_size=n * n))
+        table = {(0, 0, 0): 1}
+        table.update({(0, i, k): entries[i * n + k] for i in range(1, n) for k in range(1, n)})
+        b = BaricAlgebra(Algebra(field, n, table), Weight(field, [1] + [0] * (n - 1)))
+    else:
+        flags = {"commutative": kind != "general", "unital": kind == "commutative_unital"}
+        b = random_baric(field, n, seed=data.draw(st.integers(0, 10_000)), **flags)
+    kernel = b.kernel()
+    assert field.p ** _commutant_dim(b.algebra, kernel) == _brute_force_commutant_count(b.algebra, kernel)

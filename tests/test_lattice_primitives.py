@@ -33,6 +33,7 @@ from baric import (
     kernel_ideals,
     kpow,
     property_flags,
+    random_baric,
     sidedness,
     span,
     span_of,
@@ -292,6 +293,22 @@ def test_dim12_kernel_lattice_is_refused_at_once(monkeypatch, tmp_path, capsys):
     assert "EnumerationTooLarge" in capsys.readouterr().err
     assert visited == []
     assert time.perf_counter() - start < 5.0
+
+
+def test_dim10_indecomposable_kernel_is_certified_past_the_cap(monkeypatch, tmp_path, capsys):
+    # Ker w has 8.3e6 subspaces, past the 2^20 cap, but its endomorphism
+    # ring is the scalars, so no subspace is needed for the verdict
+    b = random_baric(F2, 10, commutative=True, unital=True, seed=1)
+    assert ideals._commutant_dim(b.algebra, b.kernel()) == 1
+    with pytest.raises(EnumerationTooLarge):
+        kernel_ideals(b)
+    visited = []
+    monkeypatch.setattr(ideals, "is_two_sided_ideal", lambda a, s: visited.append(s))
+    path = tmp_path / "random10.json"
+    io.save(b, path)
+    assert main(["decompose", str(path)]) == 0
+    assert "outcome=indecomposable" in capsys.readouterr().out.splitlines()
+    assert visited == []
 
 
 def test_huge_modulus_is_refused_quickly():
