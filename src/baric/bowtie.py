@@ -131,21 +131,15 @@ def commutator_closed_form(
         ([a1, c1] + w2(c2) a1 - w2(a2) c1,
          [a2, c2] + w1(c1) a2 - w1(a1) c2)
 
-    returned as concatenated coordinates. The arithmetic runs on raw
-    values, with the products taken in each component's own algebra and
-    the weights read from the factors; one FieldSpec.wrap makes the result.
+    returned as concatenated coordinates. The operands are checked by
+    _operand_values; the arithmetic runs on raw values, with products taken
+    in the factors' algebras and weights read from the factors. One
+    FieldSpec.wrap makes the result.
     """
-    a1, a2 = x
-    c1, c2 = y
-    _check_pair(b1, b2, a1, a2)
-    _check_pair(b1, b2, c1, c2)
-    a1._check(c1)
-    a2._check(c2)
-    _check_fields(b1, b2, a1, a2)
+    (a1, a2), (c1, c2) = _operand_values(b1, b2, (x, y))
     w1, w2 = b1.weight, b2.weight
-    a1v, a2v, c1v, c2v = a1.values, a2.values, c1.values, c2.values
-    raw = _commutator_part(a1.algebra, a1v, c1v, w2.at(c2v), w2.at(a2v))
-    raw += _commutator_part(a2.algebra, a2v, c2v, w1.at(c1v), w1.at(a1v))
+    raw = _commutator_part(b1.algebra, a1, c1, w2.at(c2), w2.at(a2))
+    raw += _commutator_part(b2.algebra, a2, c2, w1.at(c1), w1.at(a1))
     return b1.field.wrap(raw)
 
 
@@ -170,26 +164,15 @@ def associator_closed_form(
         ((a1, b1, c1) + w2(b2)(a1 c1 - w1(c1) a1),
          (a2, b2, c2) + w1(b1)(a2 c2 - w2(c2) a2))
 
-    returned as concatenated coordinates. The arithmetic runs on raw
-    values, with the products taken in each component's own algebra and
-    the weights read from the factors; one FieldSpec.wrap makes the result.
+    returned as concatenated coordinates. The operands are checked by
+    _operand_values; the arithmetic runs on raw values, with products taken
+    in the factors' algebras and weights read from the factors. One
+    FieldSpec.wrap makes the result.
     """
-    a1, a2 = x
-    p1, p2 = y
-    c1, c2 = z
-    _check_pair(b1, b2, a1, a2)
-    _check_pair(b1, b2, p1, p2)
-    _check_pair(b1, b2, c1, c2)
-    a1._check(p1)
-    a1._check(c1)
-    a2._check(p2)
-    a2._check(c2)
-    _check_fields(b1, b2, a1, a2)
+    (a1, a2), (p1, p2), (c1, c2) = _operand_values(b1, b2, (x, y, z))
     w1, w2 = b1.weight, b2.weight
-    a1v, a2v, p1v, p2v = a1.values, a2.values, p1.values, p2.values
-    c1v, c2v = c1.values, c2.values
-    raw = _associator_part(a1.algebra, a1v, p1v, c1v, w2.at(p2v), w1.at(c1v))
-    raw += _associator_part(a2.algebra, a2v, p2v, c2v, w1.at(p1v), w2.at(c2v))
+    raw = _associator_part(b1.algebra, a1, p1, c1, w2.at(p2), w1.at(c1))
+    raw += _associator_part(b2.algebra, a2, p2, c2, w1.at(p1), w2.at(c2))
     return b1.field.wrap(raw)
 
 
@@ -201,15 +184,25 @@ def _associator_part(algebra: Algebra, av: list, pv: list, cv: list, wp, wc) -> 
     ]
 
 
-def _check_pair(b1: BaricAlgebra, b2: BaricAlgebra, x1: Element, x2: Element) -> None:
-    if len(x1.coords) != b1.dim or len(x2.coords) != b2.dim:
-        raise DimensionMismatch("component sizes do not match the factors")
+def _operand_values(b1: BaricAlgebra, b2: BaricAlgebra, operands) -> list[tuple[list, list]]:
+    """Raw coordinates (x1, x2) of each closed-form operand, once it is checked.
 
-
-def _check_fields(b1: BaricAlgebra, b2: BaricAlgebra, x1: Element, x2: Element) -> None:
-    field = b1.field
-    if b2.field is not field or x1.algebra.field is not field or x2.algebra.field is not field:
-        raise FieldMismatch("factors and components must share one field")
+    The factors must share one field and every component must be over it
+    (FieldMismatch); each x1 must be an element of b1's algebra and each x2
+    of b2's (DimensionMismatch).
+    """
+    field, alg1, alg2 = b1.field, b1.algebra, b2.algebra
+    if b2.field is not field:
+        raise FieldMismatch("factors must share a field")
+    out = []
+    for x1, x2 in operands:
+        if x1.algebra.field is not field or x2.algebra.field is not field:
+            raise FieldMismatch("factors and components must share one field")
+        # tuple comparison tests each item by identity before ==
+        if (x1.algebra, x2.algebra) != (alg1, alg2):
+            raise DimensionMismatch("components must be elements of the factors' algebras")
+        out.append((x1.values, x2.values))
+    return out
 
 
 def idempotent_family(
@@ -302,8 +295,6 @@ def associativity_character(b1: BaricAlgebra, b2: BaricAlgebra) -> Associativity
     The product is associative exactly when both factors satisfy
     x*y = w(y)*x, and in that case the product satisfies the law as well.
     """
-    if b1.field is not b2.field:
-        raise FieldMismatch("factors must share a field")
     bow = bowtie(b1, b2)
     return AssociativityCharacter(
         bowtie_associative=property_flags(bow.algebra).associative,

@@ -114,11 +114,12 @@ class FieldSpec:
         return self._table
 
     def _make(self, value) -> "FieldElement":
-        # value already canonical for this field
+        """The element for one raw result: an int reduced mod p, or a Fraction over Q."""
+        p = self.p
+        if p is None:
+            return FieldElement._raw(self, value)
         table = self._interned()
-        if table is not None:
-            return table[value]
-        return FieldElement._raw(self, value)
+        return FieldElement._raw(self, value % p) if table is None else table[value % p]
 
     def wrap(self, values) -> tuple["FieldElement", ...]:
         """FieldElements for raw values: ints reduced mod p, or rationals.
@@ -151,8 +152,8 @@ class FieldSpec:
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator of {value} is zero mod {self.p}")
-            return self._make(value.numerator * pow(value.denominator, -1, self.p) % self.p)
-        return self._make(_as_int(value) % self.p)
+            return self._make(value.numerator * pow(value.denominator, -1, self.p))
+        return self._make(_as_int(value))
 
     @property
     def zero(self) -> "FieldElement":
@@ -196,41 +197,27 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
-        if f.p is None:
-            return FieldElement._raw(f, self.value + other.value)
-        return f._make((self.value + other.value) % f.p)
+        return self.field._make(self.value + other.value)
 
     def __sub__(self, other):
         self._check(other)
-        f = self.field
-        if f.p is None:
-            return FieldElement._raw(f, self.value - other.value)
-        return f._make((self.value - other.value) % f.p)
+        return self.field._make(self.value - other.value)
 
     def __mul__(self, other):
         self._check(other)
-        f = self.field
-        if f.p is None:
-            return FieldElement._raw(f, self.value * other.value)
-        return f._make((self.value * other.value) % f.p)
+        return self.field._make(self.value * other.value)
 
     def __truediv__(self, other):
         self._check(other)
         f = self.field
-        if f.p is None:
-            if not other.value:
-                raise DivisionByZero("division by zero")
-            return FieldElement._raw(f, self.value / other.value)
         if not other.value:
-            raise DivisionByZero("division by zero residue")
-        return f._make((self.value * pow(other.value, -1, f.p)) % f.p)
+            raise DivisionByZero("division by zero" if f.p is None else "division by zero residue")
+        if f.p is None:
+            return f._make(self.value / other.value)
+        return f._make(self.value * pow(other.value, -1, f.p))
 
     def __neg__(self):
-        f = self.field
-        if f.p is None:
-            return FieldElement._raw(f, -self.value)
-        return f._make((-self.value) % f.p)
+        return self.field._make(-self.value)
 
     def inverse(self) -> "FieldElement":
         return self.field.one / self
@@ -239,9 +226,7 @@ class FieldElement:
         f = self.field
         if n < 0:
             return self.inverse() ** (-n)
-        if f.p is None:
-            return FieldElement._raw(f, self.value**n)
-        return f._make(pow(self.value, n, f.p))
+        return f._make(self.value**n if f.p is None else pow(self.value, n, f.p))
 
     def __bool__(self) -> bool:
         return bool(self.value)

@@ -24,7 +24,7 @@ from collections import defaultdict
 from enum import Enum
 from typing import Sequence
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import Algebra, Element, property_flags
 from .bowtie import embed, factors, project
@@ -92,7 +92,7 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
     raises the dimension, so at most dim A vectors are ever pending. Pending
     vectors are raw rows, the input of Algebra.times_basis.
     """
-    side = Sided(side) if not isinstance(side, Sided) else side
+    side = Sided(side)
     if side is Sided.NONE:
         raise ValueError("closure side must be right or two_sided")
     for g in gens:
@@ -210,28 +210,15 @@ def kernel_ideal_bijection(bow: BaricAlgebra, cap: int | None = None) -> KernelI
     kernel = bow.kernel()
     bowtie_ideals = tuple(s for s in kernel_ideals(bow, cap) if s != kernel)
 
-    result = KernelIdealBijection(
-        bow, left_ideals, right_ideals, bowtie_ideals, verified=False
+    result = KernelIdealBijection(bow, left_ideals, right_ideals, bowtie_ideals, verified=False)
+    images = {(i, j): result.phi(i, j) for i in left_ideals for j in right_ideals}
+    ok = (
+        all(result.psi(image) == pair for pair, image in images.items())
+        and len(set(images.values())) == len(images)
+        and set(images.values()) == set(bowtie_ideals)
+        and all(result.phi(*result.psi(s)) == s for s in bowtie_ideals)
     )
-    images = []
-    ok = True
-    for i in left_ideals:
-        for j in right_ideals:
-            image = result.phi(i, j)
-            images.append(image)
-            if result.psi(image) != (i, j):
-                ok = False
-    if len(set(images)) != len(images):
-        ok = False
-    if set(images) != set(bowtie_ideals):
-        ok = False
-    for s in bowtie_ideals:
-        p1, p2 = result.psi(s)
-        if result.phi(p1, p2) != s:
-            ok = False
-    return KernelIdealBijection(
-        bow, left_ideals, right_ideals, bowtie_ideals, verified=ok
-    )
+    return replace(result, verified=ok)
 
 
 class DecompOutcome(Enum):
@@ -264,7 +251,8 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
     echelon: dict[int, dict[int, int]] = {}  # leading unknown -> row, leading coefficient 1
     for j in range(a.dim):
         for left in (False, True):
-            g = [[a.times_basis(row, j, left)[pc] % p for pc in v.pivots] for row in v.rows]
+            images = [a.times_basis(row, j, left) for row in v.rows]
+            g = [[image[pc] % p for pc in v.pivots] for image in images]
             for r in range(d):
                 for c in range(d):
                     # (XG - GX)[r][c] = sum_m X[r][m] G[m][c] - G[r][m] X[m][c]

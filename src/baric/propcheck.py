@@ -52,7 +52,7 @@ from .catalog import (
     scalar_action,
     truncated_polynomials,
 )
-from .errors import DimensionMismatch, FieldNotFinite, UnknownProposition
+from .errors import DimensionMismatch, FieldNotFinite, UnknownProposition, WeightInvalid
 from .fields import FieldSpec
 from .ideals import (
     DecompOutcome,
@@ -75,7 +75,6 @@ from .weights import (
     is_scalar_action,
     kpow,
     normalize_weight_one_basis,
-    validate_weight,
 )
 
 
@@ -269,9 +268,10 @@ def _bounded_pair(rng, cfg, field, hi, total, **flags):
 def _check_p21(rng, t, cfg):
     field = cfg.field or FieldSpec.prime(5)
     b1, b2 = _random_pair(rng, cfg, field)
-    bow = bowtie(b1, b2)
-    if not validate_weight(bow.algebra, bow.weight):
-        raise CheckFailure("combined weight is not multiplicative", b1, b2)
+    try:
+        bow = bowtie(b1, b2)
+    except WeightInvalid:
+        raise CheckFailure("combined weight is not multiplicative", b1, b2) from None
     for _ in range(5):
         x, y = _random_element(rng, bow), _random_element(rng, bow)
         if bow.weight(x * y) != bow.weight(x) * bow.weight(y):
@@ -291,13 +291,7 @@ def _check_p31(rng, t, cfg):
 
 def _random_invertible(rng, field, n) -> Matrix:
     for _ in range(200):
-        m = Matrix(
-            field,
-            [
-                tuple(field.element(rng.randrange(field.p)) for _ in range(n))
-                for _ in range(n)
-            ],
-        )
+        m = Matrix.of(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
         if m.is_invertible:
             return m
     return Matrix.identity(field, n)
@@ -539,8 +533,17 @@ def _check_l62(rng, t, cfg):
         raise CheckFailure(f"normalized weight is not all ones: {normalized.weight!r}")
     if not tmat.is_invertible:
         raise CheckFailure("basis change matrix is singular")
-    if change_basis(b.algebra, tmat) != normalized.algebra:
-        raise CheckFailure("change of basis does not reproduce the returned algebra")
+    # read the new basis back in b: each row t_i has weight one, and
+    # t_i t_j = sum_k c'[i,j,k] t_k for the returned constants c'
+    basis = [Element(b.algebra, row) for row in tmat.rows]
+    if any(b.weight(t) != one for t in basis):
+        raise CheckFailure("a new basis vector does not have weight one in the algebra")
+    zero, products = b.algebra.zero(), {}
+    for (i, j, k), c in normalized.algebra.table.items():
+        products[i, j] = products.get((i, j), zero) + basis[k].scaled(c)
+    for (i, ti), (j, tj) in product(enumerate(basis), repeat=2):
+        if ti * tj != products.get((i, j), zero):
+            raise CheckFailure(f"t_{i} t_{j} differs from the returned structure constants")
 
 
 def _rand_rational_weights(rng, n):

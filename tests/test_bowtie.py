@@ -487,6 +487,12 @@ def test_raw_kernels_keep_their_error_checks():
         associator_closed_form(b1, b2, (a1, a2), (foreign, a2), (a1, a2))
     with pytest.raises(DimensionMismatch):
         associator_closed_form(b1, b2, (a1, a2), (a1, a2), (foreign, a2))
+    # components of another algebra of the factor's size and field are refused
+    look_alike = (foreign, a2)
+    with pytest.raises(DimensionMismatch):
+        commutator_closed_form(b1, b2, look_alike, look_alike)
+    with pytest.raises(DimensionMismatch):
+        associator_closed_form(b1, b2, look_alike, look_alike, look_alike)
     with pytest.raises(DimensionMismatch):
         commutator(a1, foreign)
     with pytest.raises(DimensionMismatch):

@@ -16,6 +16,7 @@ from baric import (
     Weight,
     bowtie,
     decomposability,
+    embed,
     embedded_ideal_check,
     enumerate_subspaces,
     find_weight_one_idempotents,
@@ -30,7 +31,7 @@ from baric import (
     span_of,
 )
 from baric.catalog import componentwise, dual_numbers, truncated_polynomials
-from baric.ideals import _commutant_dim
+from baric.ideals import KernelIdealBijection, _commutant_dim
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -173,6 +174,15 @@ def test_kernel_ideal_bijection_dual_pair():
         for j in result.right_ideals:
             image = result.phi(i, j)
             assert result.psi(image) == (i, j)
+
+
+def test_kernel_ideal_bijection_rejects_a_phi_without_the_right_block(monkeypatch):
+    def left_block_only(self, left, right):
+        rows = [embed(self.bow, "left", r).coords for r in left.basis]
+        return span_of(self.bow.field, self.bow.dim, rows)
+
+    monkeypatch.setattr(KernelIdealBijection, "phi", left_block_only)
+    assert not kernel_ideal_bijection(bowtie(dual_numbers(F2), dual_numbers(F2))).verified
 
 
 def test_kernel_ideal_bijection_trivial_cases():

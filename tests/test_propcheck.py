@@ -3,6 +3,7 @@ import random
 import pytest
 
 from baric import (
+    Algebra,
     DimensionMismatch,
     associator,
     commutator,
@@ -12,6 +13,8 @@ from baric import (
     PropReport,
     RunConfig,
     UnknownProposition,
+    bowtie,
+    change_basis,
     check,
     is_scalar_action,
     property_flags,
@@ -19,7 +22,8 @@ from baric import (
     random_rational_baric,
     validate_weight,
 )
-from baric import propcheck
+from baric import propcheck, weights
+from baric.weights import BaricAlgebra
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -174,3 +178,46 @@ def test_l61_catches_a_dropped_term(monkeypatch):
     report = check("L6.1", trials=trials)
     assert report.failures == wrong
     _assert_named_counterexample(report, "xyz")
+
+
+def _bowtie_with_doubled_cross_terms(b1, b2):
+    """bowtie with w2(b2) a1 and w1(b1) a2 counted twice, so the combined weight fails."""
+    n1, bow = b1.dim, bowtie(b1, b2)
+    table = {
+        (i, j, k): 2 * c if (i < n1) != (j < n1) else c for (i, j, k), c in bow.algebra.entries()
+    }
+    return BaricAlgebra(Algebra(bow.field, bow.dim, table), bow.weight, bow.provenance)
+
+
+def test_p21_reports_a_product_weight_that_is_not_multiplicative(monkeypatch):
+    # both factor weights start with 1, so e_0 e_n1 = 2 e_0 breaks w(xy) = w(x) w(y)
+    monkeypatch.setattr(propcheck, "bowtie", _bowtie_with_doubled_cross_terms)
+    report = check("P2.1", trials=10)
+    assert report.failures == 10
+    text = report.first_counterexample
+    assert "combined weight is not multiplicative" in text
+    assert "left factor:" in text and "right factor:" in text
+
+
+def _opposite_change_basis(a, t):
+    """change_basis followed by reversing every product: weights still validate."""
+    moved = change_basis(a, t)
+    return Algebra(moved.field, moved.dim, {(j, i, k): c for (i, j, k), c in moved.entries()})
+
+
+def test_l62_reads_the_new_basis_back_in_the_algebra(monkeypatch):
+    # The opposite product is wrong exactly when b is not commutative; a check
+    # that recomputes the answer with change_basis cannot see it.
+    commutative = []
+    normalize = propcheck.normalize_weight_one_basis
+
+    def recording_normalize(b):
+        commutative.append(property_flags(b.algebra).commutative)
+        return normalize(b)
+
+    for module in (weights, propcheck):
+        monkeypatch.setattr(module, "change_basis", _opposite_change_basis)
+    monkeypatch.setattr(propcheck, "normalize_weight_one_basis", recording_normalize)
+    report = check("L6.2", trials=20)
+    assert 0 < report.failures == commutative.count(False) < 20
+    assert "differs from the returned structure constants" in report.first_counterexample
