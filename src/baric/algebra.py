@@ -23,7 +23,7 @@ from .linalg import Matrix, Subspace, kernel_basis, row_times_matrix, solve, spa
 class Algebra:
     """A bilinear product on F^dim, described by its structure constants."""
 
-    __slots__ = ("field", "dim", "basis_names", "_by_pair", "_hash")
+    __slots__ = ("field", "dim", "basis_names", "_by_pair")
 
     def __init__(
         self,
@@ -53,7 +53,6 @@ class Algebra:
         self.dim = dim
         self.basis_names = basis_names
         self._by_pair = {p: tuple(entries) for p, entries in by_pair.items()}
-        self._hash = None
 
     def entries(self) -> Iterator[tuple[tuple[int, int, int], object]]:
         """The nonzero constants as ((i, j, k), raw c), in lexicographic order."""
@@ -134,9 +133,7 @@ class Algebra:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.field.p, self.dim, tuple(self._by_pair.items())))
-        return self._hash
+        return hash((self.field.p, self.dim, tuple(self._by_pair.items())))
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, field={self.field.token}, nnz={sum(map(len, self._by_pair.values()))})"
@@ -339,7 +336,7 @@ def change_basis(a: Algebra, t: Matrix) -> Algebra:
     table: dict[tuple[int, int, int], FieldElement] = {}
     for i in range(a.dim):
         for j in range(a.dim):
-            prod_old = a.product_coords(t.row(i), t.row(j))
+            prod_old = a.product_coords(t.rows[i], t.rows[j])
             prod_new = row_times_matrix(prod_old, tinv)
             for k, v in enumerate(prod_new):
                 if v:

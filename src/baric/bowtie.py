@@ -211,17 +211,18 @@ def idempotent_family(
     """The weight-one idempotent (lam e1, (1 - lam) e2) of the product.
 
     e1 and e2 must be weight-one idempotents of the factors. Any two
-    members e, f of the family satisfy e*f = e.
+    members e, f of the family satisfy e*f = e. Each is checked through
+    its image in the product, since the block embeddings are
+    multiplicative and keep weights.
     """
-    left, right = factors(b)
-    for fac, e in ((left, e1), (right, e2)):
-        e = fac.algebra.element(e.coords)
-        if e * e != e:
+    one = b.field.one
+    x1, x2 = embed(b, "left", e1), embed(b, "right", e2)
+    for x, e in ((x1, e1), (x2, e2)):
+        if x * x != x:
             raise NotIdempotentInput(f"{e!r} is not idempotent in its factor")
-        if fac.weight(e) != fac.field.one:
+        if b.weight(x) != one:
             raise WeightNotOne(f"{e!r} does not have weight one")
-    mu = b.field.one - lam
-    return embed(b, "left", e1.scaled(lam)) + embed(b, "right", e2.scaled(mu))
+    return x1.scaled(lam) + x2.scaled(one - lam)
 
 
 @dataclass(frozen=True)

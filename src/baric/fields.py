@@ -56,7 +56,7 @@ class FieldSpec:
     valid equality test.
     """
 
-    __slots__ = ("p", "_table", "_zero", "_one")
+    __slots__ = ("p", "_table", "zero", "one")
     _cache: dict = {}
 
     def __new__(cls, p: int | None = None) -> "FieldSpec":
@@ -75,8 +75,10 @@ class FieldSpec:
         spec = object.__new__(cls)
         spec.p = p
         spec._table = None
-        spec._zero = None
-        spec._one = None
+        if p is not None and p <= _INTERN_LIMIT:
+            spec._table = tuple(FieldElement._raw(spec, v) for v in range(p))
+        spec.zero = spec.element(0)
+        spec.one = spec.element(1)
         cls._cache[p] = spec
         return spec
 
@@ -106,19 +108,12 @@ class FieldSpec:
             return cls(int(token[1:]))
         raise ValueError(f"bad field token {token!r}: expected 'q' or 'p<prime>'")
 
-    def _interned(self):
-        if self._table is None and self.p is not None and self.p <= _INTERN_LIMIT:
-            self._table = tuple(
-                FieldElement._raw(self, v) for v in range(self.p)
-            )
-        return self._table
-
     def _make(self, value) -> "FieldElement":
         """The element for one raw result: an int reduced mod p, or a Fraction over Q."""
         p = self.p
         if p is None:
             return FieldElement._raw(self, value)
-        table = self._interned()
+        table = self._table
         return FieldElement._raw(self, value % p) if table is None else table[value % p]
 
     def wrap(self, values) -> tuple["FieldElement", ...]:
@@ -134,7 +129,7 @@ class FieldSpec:
                 FieldElement._raw(self, v if type(v) is Fraction else Fraction(v)) if v else zero
                 for v in values
             ])
-        table = self._interned()
+        table = self._table
         if table is not None:
             return tuple([table[v % p] for v in values])
         return tuple([FieldElement._raw(self, v % p) for v in values])
@@ -154,18 +149,6 @@ class FieldSpec:
                 raise DivisionByZero(f"denominator of {value} is zero mod {self.p}")
             return self._make(value.numerator * pow(value.denominator, -1, self.p))
         return self._make(_as_int(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        if self._zero is None:
-            self._zero = self.element(0)
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        if self._one is None:
-            self._one = self.element(1)
-        return self._one
 
     def elements(self):
         """Iterate every field element (finite fields only)."""

@@ -5,6 +5,10 @@ the block embeddings and projections of a bowtie product, the pairing
 between factor kernel-ideals and kernel-ideals of the product, and
 decomposability of the kernel into two nonzero ideals.
 
+A subspace tested against an algebra must live in it: a subspace over
+another field raises FieldMismatch, one of another ambient dimension
+DimensionMismatch.
+
 Exact decisions (ideal lattices, decomposability) are only offered over
 prime fields; over the rationals decomposability is reported as
 undecided. Ideal lattices test every subspace, within the enumeration
@@ -31,6 +35,7 @@ from .bowtie import embed, factors, project
 from .errors import (
     DimensionMismatch,
     FactorsNotCommutativeUnital,
+    FieldMismatch,
 )
 from .linalg import (
     Subspace,
@@ -67,10 +72,17 @@ def _closed(a: Algebra, s: Subspace, left: bool) -> bool:
     return True
 
 
-def sidedness(a: Algebra, s: Subspace) -> Sided:
-    """Strongest ideal label of a subspace, by direct multiplication tests."""
+def _check_subspace(a: Algebra, s: Subspace) -> None:
+    """Refuse a subspace that does not live in the algebra."""
+    if s.field is not a.field:
+        raise FieldMismatch(f"subspace over {s.field!r}, algebra over {a.field!r}")
     if s.ambient_dim != a.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
+
+
+def sidedness(a: Algebra, s: Subspace) -> Sided:
+    """Strongest ideal label of a subspace, by direct multiplication tests."""
+    _check_subspace(a, s)
     if not _closed(a, s, left=False):
         return Sided.NONE
     if _closed(a, s, left=True):
@@ -79,6 +91,7 @@ def sidedness(a: Algebra, s: Subspace) -> Sided:
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
+    _check_subspace(a, s)
     return _closed(a, s, left=False) and _closed(a, s, left=True)
 
 
@@ -278,9 +291,11 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
 def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
     """Split Ker w into two nonzero ideals, if possible.
 
-    The algebra must have an idempotent of weight one to qualify; absent
-    one the outcome is NO_WEIGHT1_IDEMPOTENT. Over the rationals the
-    outcome is then UNDECIDED. Over a prime field the decision is exact:
+    Over the rationals the outcome is UNDECIDED, with the weight-one
+    idempotent found if there is one: that search examines only a few
+    candidates, so finding none proves nothing. Over a prime field the
+    search is exhaustive, and an algebra with no idempotent of weight one
+    gets NO_WEIGHT1_IDEMPOTENT. Otherwise the decision is exact:
 
     - Certificate. The ideals inside V = Ker w are the subspaces every
       e_j * (.) and (.) * e_j maps into itself. If the ring E of linear
@@ -298,11 +313,11 @@ def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
       whole lattice's order. With no pair the outcome is INDECOMPOSABLE.
     """
     idems = find_weight_one_idempotents(b, cap, limit=1)
-    if not idems:
-        return Decomposability(DecompOutcome.NO_WEIGHT1_IDEMPOTENT)
-    idem = idems[0]
+    idem = idems[0] if idems else None
     if not b.field.is_finite:
         return Decomposability(DecompOutcome.UNDECIDED, idem)
+    if idem is None:
+        return Decomposability(DecompOutcome.NO_WEIGHT1_IDEMPOTENT)
     a, kernel = b.algebra, b.kernel()
     if _commutant_dim(a, kernel) == 1:
         return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)

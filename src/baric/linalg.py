@@ -85,9 +85,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, [tuple(one if i == j else zero for j in range(n)) for i in range(n)], n)
 
-    def row(self, i: int) -> Row:
-        return self.rows[i]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
 
@@ -289,8 +286,6 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the left kernel of the stacked bases."""
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Subspace.zero_space(self.field, self.ambient_dim)
         basis, k = self.basis_matrix(), self.dim
         stacked = Matrix(self.field, basis.rows + other.basis, self.ambient_dim)
         vectors = [row_times_matrix(w[:k], basis) for w in kernel_basis(stacked.transpose())]

@@ -226,10 +226,10 @@ def _seed32(rng: random.Random) -> int:
     return rng.getrandbits(32)
 
 
-def _field_for(cfg: RunConfig, rng: random.Random, choices=(2, 3)) -> FieldSpec:
+def _field_for(cfg: RunConfig, rng: random.Random) -> FieldSpec:
     if cfg.field is not None:
         return cfg.field
-    return FieldSpec.prime(rng.choice(choices))
+    return FieldSpec.prime(rng.choice((2, 3)))
 
 
 def _dim(rng: random.Random, cfg: RunConfig, lo: int, hi: int) -> int:

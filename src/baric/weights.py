@@ -163,31 +163,27 @@ def enumerate_weights(algebra: Algebra, cap: int | None = None) -> list[Weight]:
     found = []
     for coords in iter_vectors(algebra.field, algebra.dim, cap):
         w = Weight(algebra.field, coords)
-        if w.is_nonzero and validate_weight(algebra, w):
+        if validate_weight(algebra, w):
             found.append(w)
     return found
 
 
-def nil_kernel_witness(b: BaricAlgebra, bound: int | None = None) -> Element | None:
-    """A kernel basis vector with no vanishing left-normed power within bound.
+def nil_kernel_witness(b: BaricAlgebra) -> Element | None:
+    """A kernel basis vector none of whose left-normed powers vanishes.
 
-    Powers are left-normed: x, x*x, (x*x)*x, ... The default bound is
-    dim + 1. Returns None when every kernel basis vector nilpotates.
+    Powers are left-normed: x, x*x, (x*x)*x, ... With R_x(y) = y*x they
+    are x^(k+1) = R_x^k(x), so they span the Krylov space K of x under R_x,
+    which lies in Ker w. If some power vanishes, R_x is nilpotent on K and
+    R_x^(dim K) kills x; as dim K < dim, a power of x vanishes exactly when
+    x^(dim+1) does, and that is the one test made. Returns None when every
+    kernel basis vector nilpotates.
     """
-    if bound is None:
-        bound = b.dim + 1
-    if bound < 1:
-        raise ValueError("power bound must be at least 1")
     for row in b.kernel().basis:
         x = Element(b.algebra, row)
         power = x
-        vanished = power.is_zero
-        for _ in range(bound - 1):
-            if vanished:
-                break
+        for _ in range(b.dim):
             power = power * x
-            vanished = power.is_zero
-        if not vanished:
+        if not power.is_zero:
             return x
     return None
 
@@ -301,7 +297,7 @@ def baric_isomorphic_by(f: Matrix, b1: BaricAlgebra, b2: BaricAlgebra) -> bool:
     if f.nrows != f.ncols or not f.is_invertible:
         return False
     for i in range(b1.dim):
-        if b2.weight(f.row(i)) != b1.weight.coords[i]:
+        if b2.weight(f.rows[i]) != b1.weight.coords[i]:
             return False
     return change_basis(b2.algebra, f) == b1.algebra
 
@@ -312,19 +308,23 @@ def find_weight_one_idempotents(
     """Idempotents of weight one.
 
     Over a prime field the search is exhaustive over all p^n elements
-    (subject to the enumeration cap). Over the rationals only the basis
-    vectors and the unit, if one exists, are examined.
+    (subject to the enumeration cap). Over the rationals only the rescaled
+    basis vectors e_i / w_i with w_i nonzero and the unit, if one exists,
+    are examined, so an empty result there does not mean that none exists.
     """
+    one = b.field.one
     if b.field.is_finite:
         pool = (Element(b.algebra, coords) for coords in iter_vectors(b.field, b.dim, cap))
     else:
-        pool = [b.basis_element(i) for i in range(b.dim)]
+        pool = [
+            b.basis_element(i).scaled(one / wi) for i, wi in enumerate(b.weight.coords) if wi
+        ]
         unit = property_flags(b.algebra).unit
         if unit is not None and unit not in pool:
             pool.append(unit)
     found: list[Element] = []
     for x in pool:
-        if b.weight(x) == b.field.one and x * x == x:
+        if b.weight(x) == one and x * x == x:
             found.append(x)
         if limit is not None and len(found) >= limit:
             break

@@ -8,7 +8,9 @@ from baric import (
     Algebra,
     BaricAlgebra,
     DecompOutcome,
+    DimensionMismatch,
     FactorsNotCommutativeUnital,
+    FieldMismatch,
     FieldSpec,
     Ideal,
     Sided,
@@ -30,7 +32,7 @@ from baric import (
     sidedness,
     span_of,
 )
-from baric.catalog import componentwise, dual_numbers, truncated_polynomials
+from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
 from baric.ideals import KernelIdealBijection, _commutant_dim
 
 Q = FieldSpec.rationals()
@@ -85,6 +87,16 @@ def test_sidedness_examples():
     d2 = dual_numbers(Q)
     unit_span = span_of(Q, 2, [[1, 0]])
     assert sidedness(d2.algebra, unit_span) is Sided.NONE
+
+
+@pytest.mark.parametrize("test", [sidedness, is_two_sided_ideal])
+def test_ideal_tests_refuse_a_subspace_outside_the_algebra(test):
+    a = bowtie(dual_numbers(F3), dual_numbers(F3)).algebra
+    with pytest.raises(FieldMismatch):
+        test(a, span_of(Q, 4, [[0, 1, 0, 0]]))
+    for n in (3, 5):
+        with pytest.raises(DimensionMismatch):
+            test(a, span_of(F3, n, [[0, 1] + [0] * (n - 2)]))
 
 
 def test_embedded_ideal_check_examples():
@@ -233,9 +245,12 @@ def test_decomposability_no_idempotent():
     from baric import Algebra, BaricAlgebra, Weight, WeightInvalid
 
     table = {(0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1}
-    for field in (F2, F3, Q):
+    for field in (F2, F3):
         b = BaricAlgebra(Algebra(field, 2, table), Weight(field, [1, 0]))
         assert decomposability(b).outcome is DecompOutcome.NO_WEIGHT1_IDEMPOTENT
+    # over Q the idempotent search is not exhaustive, so absence is not claimed
+    b = BaricAlgebra(Algebra(Q, 2, table), Weight(Q, [1, 0]))
+    assert decomposability(b).outcome is DecompOutcome.UNDECIDED
 
     with pytest.raises(WeightInvalid):
         BaricAlgebra(Algebra(F2, 2, {}), Weight(F2, [1, 0]))
@@ -245,6 +260,16 @@ def test_decomposability_over_rationals():
     cw3 = componentwise(Q, 3)
     undecided = decomposability(cw3)
     assert undecided.outcome is DecompOutcome.UNDECIDED
+
+    # f0*f0 = f0 - f1: f0 - f1 is a weight-one idempotent the search misses
+    missed = BaricAlgebra(Algebra(Q, 2, {(0, 0, 0): 1, (0, 0, 1): -1}), Weight(Q, [1, 0]))
+    result = decomposability(missed)
+    assert result.outcome is DecompOutcome.UNDECIDED and result.idempotent is None
+    # x*y = w(y) x with w = (2, 3): e0/2 has weight one and is idempotent
+    scaled = scalar_action(Q, [2, 3])
+    result = decomposability(scaled)
+    assert result.outcome is DecompOutcome.UNDECIDED
+    assert result.idempotent == scaled.element(["1/2", "0"])
 
 
 def test_indecomposability_preserved_for_fixed_family():

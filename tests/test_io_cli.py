@@ -3,20 +3,25 @@ import json
 import pytest
 
 from baric import (
+    Algebra,
+    BaricAlgebra,
     DuplicateTriple,
     FieldSpec,
     ParseError,
+    Weight,
     WeightInvalid,
     bowtie,
     kpow,
     random_baric,
+    span_of,
 )
 from baric import io
-from baric.catalog import dual_numbers
+from baric.catalog import dual_numbers, scalar_action
 from baric.cli import main
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
 
 FIELD_SQUARE_DOC = {
     "field": {"kind": "rational"},
@@ -148,8 +153,6 @@ def test_loading_unsorted_document_canonicalizes(tmp_path):
 
 
 def test_subspace_round_trip(tmp_path):
-    from baric import span_of
-
     s = span_of(Q, 3, [[1, 2, 3], [0, 1, 1]])
     path = tmp_path / "s.json"
     io.save_subspace(s, path)
@@ -224,10 +227,17 @@ def test_cli_project_requires_bowtie(tmp_path, capsys):
     plain = tmp_path / "d2.json"
     io.save(dual_numbers(F2), plain)
     sub = tmp_path / "s.json"
-    from baric import span_of
-
     io.save_subspace(span_of(F2, 2, [[0, 1]]), sub)
     assert main(["project", str(plain), "--ideal", str(sub)]) == 1
+
+
+def test_cli_project_refuses_an_ideal_over_another_field(tmp_path, capsys):
+    bow = tmp_path / "dd.json"
+    io.save(bowtie(dual_numbers(F3), dual_numbers(F3)), bow)
+    sub = tmp_path / "s.json"
+    io.save_subspace(span_of(Q, 4, [[1, 0, 0, 0]]), sub)
+    assert main(["project", str(bow), "--ideal", str(sub)]) == 2
+    assert "error=FieldMismatch" in capsys.readouterr().err
 
 
 def test_cli_bijection_and_decompose(tmp_path, capsys):
@@ -240,6 +250,20 @@ def test_cli_bijection_and_decompose(tmp_path, capsys):
 
     assert main(["decompose", str(bow)]) == 0
     assert "outcome=indecomposable" in capsys.readouterr().out
+
+
+def test_cli_decompose_claims_no_absence_over_rationals(tmp_path, capsys):
+    # f0*f0 = f0 - f1 has the weight-one idempotent f0 - f1; x*y = w(y) x
+    # with w = (2, 3) has e0/2
+    missed = BaricAlgebra(Algebra(Q, 2, {(0, 0, 0): 1, (0, 0, 1): -1}), Weight(Q, [1, 0]))
+    for b, expected in (
+        (missed, "outcome=undecided\n"),
+        (scalar_action(Q, [2, 3]), "outcome=undecided\nidempotent=1/2,0\n"),
+    ):
+        path = tmp_path / "b.json"
+        io.save(b, path)
+        assert main(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_cli_classify(tmp_path, capsys):

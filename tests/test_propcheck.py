@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from baric import (
     random_rational_baric,
     validate_weight,
 )
-from baric import propcheck, weights
+from baric import io, propcheck, weights
 from baric.weights import BaricAlgebra
 
 F2 = FieldSpec.prime(2)
@@ -221,3 +222,29 @@ def test_l62_reads_the_new_basis_back_in_the_algebra(monkeypatch):
     report = check("L6.2", trials=20)
     assert 0 < report.failures == commutative.count(False) < 20
     assert "differs from the returned structure constants" in report.first_counterexample
+
+
+# SHA-256 over the documents that random_baric, random_rational_baric and
+# scalar_action draw and the PropReport reprs of check(pid, 2, seed), for
+# every check id and seeds 0 and 1. A change that moves a seeded draw or a
+# report changes it.
+SEEDED_DRAWS_DIGEST = "0cebe73d615a30847ec3b2b7624e2023843c751257a44c7fd14fb16f57a8f564"
+
+
+def test_seeded_draws_and_reports_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+
+    def recording(make):
+        def drawn(*args, **kwargs):
+            b = make(*args, **kwargs)
+            digest.update(io.dumps(b).encode())
+            return b
+
+        return drawn
+
+    for name in ("random_baric", "random_rational_baric", "scalar_action"):
+        monkeypatch.setattr(propcheck, name, recording(getattr(propcheck, name)))
+    for pid in PROPOSITION_IDS:
+        for seed in (0, 1):
+            digest.update(repr(check(pid, 2, seed)).encode())
+    assert digest.hexdigest() == SEEDED_DRAWS_DIGEST

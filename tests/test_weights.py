@@ -81,6 +81,19 @@ def test_nil_kernel_examples():
     assert nil_kernel_witness(zero_mult) is None
 
 
+def test_nil_kernel_witness_tests_powers_up_to_dim():
+    # f*f = f has weight one, and the kernel chain e_i * e_0 = e_(i+1) gives
+    # e_0^k = e_(k-1): the first left-normed power of e_0 that vanishes is e_0^dim
+    m = 4
+    table = {(0, 0, 0): 1, **{(1 + i, 1, 2 + i): 1 for i in range(m - 1)}}
+    weight = Weight(Q, [1] + [0] * m)
+    chain = BaricAlgebra(Algebra(Q, m + 1, table), weight)
+    assert nil_kernel_witness(chain) is None
+    # closing the chain with e_last * e_0 = e_0 keeps every power of e_0 nonzero
+    cycle = BaricAlgebra(Algebra(Q, m + 1, {**table, (m, 1, 1): 1}), weight)
+    assert nil_kernel_witness(cycle) == cycle.basis_element(1)
+
+
 def test_nil_kernel_implies_unique_weight():
     for seed in range(40):
         b = random_baric(F3, 3, seed=seed)
@@ -219,6 +232,11 @@ def test_find_weight_one_idempotents():
     assert found == [d2.element([1, 0])]
     over_q = find_weight_one_idempotents(dual_numbers(Q))
     assert dual_numbers(Q).element([1, 0]) in over_q
+    scaled = scalar_action(Q, [2, 0, 3])
+    assert find_weight_one_idempotents(scaled) == [
+        scaled.element(["1/2", "0", "0"]),
+        scaled.element(["0", "0", "1/3"]),
+    ]
     k2 = kpow(F3, 2)
     found = find_weight_one_idempotents(k2)
     # every (a, b) with a + b = 1 is idempotent: x*x = w(x) x = x
