@@ -7,6 +7,9 @@ structural equality of tensors is meaningful. `table` is a FieldElement
 view of the same constants, built when it is read. Elements are
 coordinate vectors tied to their parent algebra and support +, -, scalar
 multiples and the bilinear product.
+
+Every product kernel takes raw values; product_coords and Element(...)
+check caller-supplied FieldElements through FieldSpec.unwrap, the one door.
 """
 
 from __future__ import annotations
@@ -107,8 +110,9 @@ class Algebra:
         return [s - t for s, t in zip(times(times(x, y), z), times(x, times(y, z)))]
 
     def product_coords(self, x: Sequence[FieldElement], y: Sequence[FieldElement]) -> list[FieldElement]:
-        raw = self.times([c.value for c in x], [c.value for c in y])
-        return list(self.field.wrap(raw))
+        """x * y from FieldElement coordinates, checked through FieldSpec.unwrap."""
+        unwrap = self.field.unwrap
+        return list(self.field.wrap(self.times(unwrap(x, self.dim), unwrap(y, self.dim))))
 
     def element(self, coords: Sequence) -> "Element":
         return Element(self, tuple(self.field.element(c) for c in coords))
@@ -140,20 +144,15 @@ class Algebra:
 
 
 class Element:
-    """A vector of coordinates in a fixed algebra's basis."""
+    """A vector of coordinates in a fixed algebra's basis, checked through
+    FieldSpec.unwrap; `values` keeps them as a tuple of raw values."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "coords", "values")
 
     def __init__(self, algebra: Algebra, coords: tuple[FieldElement, ...]):
-        if len(coords) != algebra.dim:
-            raise DimensionMismatch(f"{len(coords)} coordinates for dim {algebra.dim}")
+        self.values = algebra.field.unwrap(coords, algebra.dim)
         self.algebra = algebra
         self.coords = coords
-
-    @property
-    def values(self) -> list:
-        """The coordinates as raw values: int residues over F_p, Fractions over Q."""
-        return [c.value for c in self.coords]
 
     def _check(self, other: "Element") -> None:
         if not isinstance(other, Element):
@@ -174,7 +173,8 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, tuple(self.algebra.product_coords(self.coords, other.coords)))
+        a = self.algebra
+        return Element(a, a.field.wrap(a.times(self.values, other.values)))
 
     def scaled(self, c: FieldElement) -> "Element":
         return Element(self.algebra, tuple(c * a for a in self.coords))

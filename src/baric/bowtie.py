@@ -184,7 +184,7 @@ def _associator_part(algebra: Algebra, av: list, pv: list, cv: list, wp, wc) -> 
     ]
 
 
-def _operand_values(b1: BaricAlgebra, b2: BaricAlgebra, operands) -> list[tuple[list, list]]:
+def _operand_values(b1: BaricAlgebra, b2: BaricAlgebra, operands) -> list[tuple[tuple, tuple]]:
     """Raw coordinates (x1, x2) of each closed-form operand, once it is checked.
 
     The factors must share one field and every component must be over it

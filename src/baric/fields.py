@@ -5,6 +5,10 @@ field values are residues in [0, p). Canonical forms are unique, so
 ``==`` is exact mathematical equality and no tolerances appear anywhere.
 Elements of small prime fields are interned, which keeps the inner loops
 of the linear algebra allocation-free.
+
+Every kernel in `fields`, `linalg`, `algebra` and `weights` takes raw values.
+`FieldSpec.unwrap` is the one door from caller-supplied FieldElements to
+raw values and checks length, type and field; `FieldSpec.wrap` is its inverse.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import index as _as_int
+from typing import Sequence
 
-from .errors import DivisionByZero, FieldMismatch, FieldNotFinite, ParseError
+from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, FieldNotFinite, ParseError
 
 _INTERN_LIMIT = 1 << 12
 
@@ -60,11 +65,13 @@ class FieldSpec:
     _cache: dict = {}
 
     def __new__(cls, p: int | None = None) -> "FieldSpec":
+        # coerce before the cache lookup, or 3.0 would find the entry of 3
+        if p is not None:
+            p = _as_int(p)
         spec = cls._cache.get(p)
         if spec is not None:
             return spec
         if p is not None:
-            p = _as_int(p)
             if p >= PRIME_MODULUS_BOUND:
                 raise ParseError(
                     f"field modulus {p} is too large: primality is decided only "
@@ -133,6 +140,19 @@ class FieldSpec:
         if table is not None:
             return tuple([table[v % p] for v in values])
         return tuple([FieldElement._raw(self, v % p) for v in values])
+
+    def unwrap(self, coords: Sequence, n: int) -> tuple:
+        """Raw values of n caller-supplied FieldElements of this field: the inverse of wrap.
+
+        A wrong length raises DimensionMismatch, a non-element TypeError and
+        an element of another field FieldMismatch.
+        """
+        if len(coords) != n:
+            raise DimensionMismatch(f"{len(coords)} coordinates where {n} are expected")
+        for c in coords:
+            if type(c) is not FieldElement or c.field is not self:
+                self.one._check(c)
+        return tuple([c.value for c in coords])
 
     def element(self, value) -> "FieldElement":
         """Coerce an int, Fraction, string or FieldElement into this field."""

@@ -225,11 +225,12 @@ def kernel_ideal_bijection(bow: BaricAlgebra, cap: int | None = None) -> KernelI
 
     result = KernelIdealBijection(bow, left_ideals, right_ideals, bowtie_ideals, verified=False)
     images = {(i, j): result.phi(i, j) for i in left_ideals for j in right_ideals}
+    # psi(phi(p)) == p for every pair makes phi injective, and for s = phi(p)
+    # it gives phi(psi(s)) = phi(p) = s; with the images equal to the product
+    # kernel-ideals, phi and psi are mutually inverse, so neither needs a test
     ok = (
         all(result.psi(image) == pair for pair, image in images.items())
-        and len(set(images.values())) == len(images)
         and set(images.values()) == set(bowtie_ideals)
-        and all(result.phi(*result.psi(s)) == s for s in bowtie_ideals)
     )
     return replace(result, verified=ok)
 

@@ -1,12 +1,15 @@
 """Exact dense linear algebra over a FieldSpec.
 
-Matrices are immutable tuples of rows of FieldElements. Elimination runs
-on raw values (residues in [0, p) over F_p, Fractions over Q) and
-FieldSpec.wrap turns results back into FieldElements. Subspaces are
-stored by their reduced row-echelon rows as raw values, with zero rows
-removed, and the pivot column of each row. That is a canonical form: two
-subspaces are equal exactly when their stored rows are identical, so
-Subspace supports ==, hashing and set membership.
+Matrices are immutable tuples of rows of FieldElements. Every entry point
+that takes FieldElements (Matrix, span, solve, row_times_matrix,
+Subspace.contains_vector) checks them through FieldSpec.unwrap, the one
+door to raw values, and every kernel computes on raw values (residues in
+[0, p) over F_p, Fractions over Q); FieldSpec.wrap turns results back
+into FieldElements. Subspaces are stored by their reduced row-echelon
+rows as raw values, with zero rows removed, and the pivot column of each
+row. That is a canonical form: two subspaces are equal exactly when their
+stored rows are identical, so Subspace supports ==, hashing and set
+membership.
 
 Over prime fields the module can also enumerate every subspace of an
 ambient space, walking reduced-echelon pivot patterns so that each
@@ -51,25 +54,18 @@ def _coerce_row(field: FieldSpec, row: Sequence) -> Row:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix; `values` are its `rows` as raw values, via FieldSpec.unwrap."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "values")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Sequence], ncols: int | None = None):
         rows = tuple(tuple(r) for r in rows)
-        if rows:
-            ncols_seen = len(rows[0])
-            if ncols is not None and ncols != ncols_seen:
-                raise DimensionMismatch(f"declared {ncols} columns, rows have {ncols_seen}")
-            ncols = ncols_seen
-        elif ncols is None:
-            raise DimensionMismatch("empty matrix needs an explicit column count")
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-            for x in r:
-                if not isinstance(x, FieldElement) or x.field is not field:
-                    raise FieldMismatch("matrix entries must share one field")
+        if ncols is None:
+            if not rows:
+                raise DimensionMismatch("empty matrix needs an explicit column count")
+            ncols = len(rows[0])
+        unwrap = field.unwrap
+        self.values = tuple([unwrap(r, ncols) for r in rows])
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
@@ -90,11 +86,11 @@ class Matrix:
 
     def rref(self) -> "Matrix":
         """Reduced row-echelon form, zero rows kept at the bottom."""
-        rows, _ = _rref(self.field, self.rows, self.ncols)
+        rows, _ = _rref(self.field, self.values, self.ncols)
         return Matrix(self.field, [self.field.wrap(r) for r in rows], self.ncols)
 
     def rank(self) -> int:
-        _, pivots = _rref(self.field, self.rows, self.ncols)
+        _, pivots = _rref(self.field, self.values, self.ncols)
         return len(pivots)
 
     @property
@@ -105,8 +101,9 @@ class Matrix:
         if self.nrows != self.ncols:
             raise SingularTransform("only square matrices can be inverted")
         n = self.nrows
-        ident = Matrix.identity(self.field, n)
-        aug = [self.rows[i] + ident.rows[i] for i in range(n)]
+        # raw identity entries are field.one.value: Fractions over Q, so / never meets two ints
+        ident = Matrix.identity(self.field, n).values
+        aug = [self.values[i] + ident[i] for i in range(n)]
         reduced, pivots = _rref(self.field, aug, 2 * n)
         if pivots != list(range(n)):
             raise SingularTransform("matrix is singular")
@@ -131,26 +128,24 @@ class Matrix:
 
 def row_times_matrix(v: Sequence[FieldElement], m: Matrix) -> Row:
     """v @ m for a coordinate row vector v."""
-    if len(v) != m.nrows:
-        raise DimensionMismatch(f"row of length {len(v)} times {m.nrows}x{m.ncols}")
-    zero = m.field.zero
-    out = [zero] * m.ncols
-    for vi, r in zip(v, m.rows):
+    out = [0] * m.ncols
+    for vi, r in zip(m.field.unwrap(v, m.nrows), m.values):
         if vi:
             for j, rj in enumerate(r):
                 if rj:
-                    out[j] = out[j] + vi * rj
-    return tuple(out)
+                    out[j] += vi * rj
+    return m.field.wrap(out)
 
 
-def _rref(field: FieldSpec, rows: Iterable[Sequence[FieldElement]], ncols: int):
-    """Gauss-Jordan elimination on raw values; returns (rows, pivot column list).
+def _rref(field: FieldSpec, rows: Iterable[Sequence], ncols: int):
+    """Gauss-Jordan elimination on raw rows; returns (rows, pivot column list).
 
-    The FieldElement rows are unwrapped once; the returned rows are raw
-    (residues in [0, p) over F_p, Fractions over Q), zero rows at the bottom.
+    The input rows are canonical raw values (residues in [0, p) over F_p,
+    Fractions over Q), as Matrix.values holds them; so are the returned
+    rows, zero rows at the bottom.
     """
     p = field.p
-    m = [[x.value for x in r] for r in rows]
+    m = [list(r) for r in rows]
     nrows = len(m)
     pivots: list[int] = []
     r = 0
@@ -185,17 +180,9 @@ def _rref(field: FieldSpec, rows: Iterable[Sequence[FieldElement]], ncols: int):
     return [tuple(row) for row in m], pivots
 
 
-def _check_entries(field: FieldSpec, row: Sequence) -> None:
-    # _rref unwraps raw values, so an entry from another field (TypeError for
-    # a non-element, FieldMismatch for a foreign one) is refused first
-    check = field.one._check
-    for x in row:
-        check(x)
-
-
 def kernel_basis(m: Matrix) -> list[Row]:
     """Basis of {x : m @ x^T = 0}, one vector per free column."""
-    reduced, pivots = _rref(m.field, m.rows, m.ncols)
+    reduced, pivots = _rref(m.field, m.values, m.ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.ncols):
@@ -214,10 +201,8 @@ def solve(m: Matrix, b: Sequence[FieldElement]) -> Row | None:
 
     Free variables are set to zero.
     """
-    if len(b) != m.nrows:
-        raise DimensionMismatch("right-hand side length mismatch")
-    _check_entries(m.field, b)
-    aug = [m.rows[i] + (b[i],) for i in range(m.nrows)]
+    b = m.field.unwrap(b, m.nrows)
+    aug = [m.values[i] + (b[i],) for i in range(m.nrows)]
     reduced, pivots = _rref(m.field, aug, m.ncols + 1)
     if m.ncols in pivots:
         return None
@@ -269,9 +254,7 @@ class Subspace:
         return span(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
 
     def contains_vector(self, v: Sequence[FieldElement]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(f"vector of length {len(v)} in dim {self.ambient_dim}")
-        return not any(raw_residue(self, [x.value for x in v]))
+        return not any(raw_residue(self, self.field.unwrap(v, self.ambient_dim)))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
@@ -334,14 +317,11 @@ def raw_residue(s: Subspace, v: Sequence) -> list:
 
 def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence[FieldElement]]) -> Subspace:
     """Canonical subspace spanned by the given coordinate vectors."""
-    vectors = [tuple(v) for v in vectors]
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise DimensionMismatch(f"vector of length {len(v)} in dim {ambient_dim}")
-        _check_entries(field, v)
-    if not vectors:
+    unwrap = field.unwrap
+    rows = [unwrap(v, ambient_dim) for v in vectors]
+    if not rows:
         return Subspace.zero_space(field, ambient_dim)
-    reduced, pivots = _rref(field, vectors, ambient_dim)
+    reduced, pivots = _rref(field, rows, ambient_dim)
     return Subspace(field, ambient_dim, tuple(reduced[: len(pivots)]), tuple(pivots))
 
 

@@ -194,12 +194,11 @@ def random_rational_baric(dim: int, weight, seed: int = 0) -> BaricAlgebra:
     if not w.coords[0]:
         raise ValueError("leading weight coordinate must be nonzero")
     rng = random.Random(seed)
-    values = [c.value for c in w.coords]
     table = _pivot_table(
         dim,
-        values,
+        w.values,
         lambda: Fraction(rng.randint(-2, 2)),
-        lambda r: r / values[0],
+        lambda r: r / w.values[0],
     )
     return BaricAlgebra(Algebra(field, dim, table), w)
 

@@ -49,12 +49,7 @@ class Weight:
 
     def __call__(self, x) -> FieldElement:
         coords = x.coords if isinstance(x, Element) else x
-        if len(coords) != len(self.coords):
-            raise DimensionMismatch("weight applied to a vector of the wrong length")
-        zero = self.field.zero
-        for c in coords:
-            zero._check(c)
-        return self.field.wrap([self.at([c.value for c in coords])])[0]
+        return self.field.wrap([self.at(self.field.unwrap(coords, len(self.values)))])[0]
 
     def __len__(self) -> int:
         return len(self.coords)

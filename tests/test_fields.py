@@ -5,15 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baric import (
+    DimensionMismatch,
     DivisionByZero,
     FieldElement,
     FieldMismatch,
     FieldSpec,
+    Matrix,
     ParseError,
+    Subspace,
+    Weight,
+    kpow,
     parse_scalar,
+    solve,
+    span,
 )
+from baric.algebra import Element
+from baric.linalg import row_times_matrix
 
 Q = FieldSpec.rationals()
+F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 
 
@@ -24,6 +34,13 @@ def test_field_spec_interning_and_validation():
         FieldSpec.prime(6)
     with pytest.raises(ValueError):
         FieldSpec.prime(1)
+
+
+def test_field_spec_coerces_the_modulus_before_its_cache():
+    # 3.0 == 3, so a lookup before coercion would return the cached F3
+    assert FieldSpec(3) is F3
+    with pytest.raises(TypeError):
+        FieldSpec(3.0)
 
 
 def test_rational_arithmetic_examples():
@@ -117,3 +134,43 @@ def test_negation_and_subtraction(a):
     assert a + (-a) == a.field.zero
     assert a - a == a.field.zero
     assert -(-a) == a
+
+
+def _door_entry_points():
+    """Each public entry point that takes caller-supplied F3 coordinates of length 2."""
+    a = kpow(F3, 2).algebra
+    m = Matrix.identity(F3, 2)
+    full = Subspace.full(F3, 2)
+    return {
+        "Matrix": lambda v: Matrix(F3, [v], 2),
+        "span": lambda v: span(F3, 2, [v]),
+        "solve": lambda v: solve(m, v),
+        "row_times_matrix": lambda v: row_times_matrix(v, m),
+        "Subspace.contains_vector": full.contains_vector,
+        "Algebra.product_coords": lambda v: a.product_coords(v, v),
+        "Element": lambda v: Element(a, v),
+        "Weight.__call__": Weight(F3, [1, 1]),
+    }
+
+
+BAD_COORDINATES = {
+    "wrong length": ((F3.one, F3.zero, F3.one), DimensionMismatch),
+    "non-element": ((1, 0), TypeError),
+    "foreign field": ((F5.element(4), F5.one), FieldMismatch),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_door_entry_points()))
+@pytest.mark.parametrize("bad", sorted(BAD_COORDINATES))
+def test_every_entry_point_checks_its_coordinates(entry, bad):
+    coords, error = BAD_COORDINATES[bad]
+    with pytest.raises(error):
+        _door_entry_points()[entry](coords)
+
+
+def test_element_keeps_its_raw_values_as_a_tuple():
+    a = kpow(Q, 3).algebra
+    x = Element(a, (Q.element(Fraction(1, 2)), Q.zero, Q.element(-3)))
+    assert x.values == (Fraction(1, 2), Fraction(0), Fraction(-3))
+    assert type(x.values) is tuple
+    assert list((x * x).coords) == a.product_coords(x.coords, x.coords)

@@ -197,6 +197,39 @@ def test_kernel_ideal_bijection_rejects_a_phi_without_the_right_block(monkeypatc
     assert not kernel_ideal_bijection(bowtie(dual_numbers(F2), dual_numbers(F2))).verified
 
 
+def _four_condition_verdict(result):
+    """The P5.4 verdict tested in full: psi inverts phi, phi is injective, the
+    images are the product kernel-ideals, and phi inverts psi."""
+    images = {(i, j): result.phi(i, j) for i in result.left_ideals for j in result.right_ideals}
+    return (
+        all(result.psi(image) == pair for pair, image in images.items())
+        and len(set(images.values())) == len(images)
+        and set(images.values()) == set(result.bowtie_ideals)
+        and all(result.phi(*result.psi(s)) == s for s in result.bowtie_ideals)
+    )
+
+
+@pytest.mark.parametrize("field, d1, d2", [(F2, 2, 3), (F2, 3, 4), (F3, 2, 2), (F3, 3, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_ideal_bijection_verdict_matches_the_four_condition_reference(field, d1, d2, seed):
+    def factor(dim, s):
+        return random_baric(field, dim, commutative=True, unital=True, seed=s)
+
+    result = kernel_ideal_bijection(bowtie(factor(d1, seed), factor(d2, seed + 100)))
+    assert result.verified == _four_condition_verdict(result)
+
+
+def test_kernel_ideal_bijection_verdict_matches_the_reference_on_the_phi_mutant(monkeypatch):
+    def left_block_only(self, left, right):
+        rows = [embed(self.bow, "left", r).coords for r in left.basis]
+        return span_of(self.bow.field, self.bow.dim, rows)
+
+    monkeypatch.setattr(KernelIdealBijection, "phi", left_block_only)
+    result = kernel_ideal_bijection(bowtie(dual_numbers(F2), dual_numbers(F2)))
+    assert not result.verified
+    assert result.verified == _four_condition_verdict(result)
+
+
 def test_kernel_ideal_bijection_trivial_cases():
     k2 = kpow(F2, 2)
     result = kernel_ideal_bijection(k2)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,11 @@ from baric import (
     bowtie,
     kpow,
     random_baric,
+    random_rational_baric,
     span_of,
 )
 from baric import io
-from baric.catalog import dual_numbers, scalar_action
+from baric.catalog import componentwise, dual_numbers, scalar_action
 from baric.cli import main
 
 Q = FieldSpec.rationals()
@@ -388,3 +391,57 @@ def test_cli_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch)
     files = list(tmp_path.glob("counterexample_*.txt"))
     assert len(files) == 1
     assert "forced failure" in files[0].read_text()
+
+
+# SHA-256 over (argv, exit code, stdout) of every run below and the bytes
+# of each file a run writes with -o. A change to any command's output,
+# exit code or written document changes it.
+CLI_TRANSCRIPT_DIGEST = "0dca13566a9ea1bcb9a8622aa1bc29930cb96fe98c51f37f1ce39bcb0ab36b6a"
+
+CLI_TRANSCRIPT_RUNS = (
+    ["kpow", "3", "--field", "q", "-o", "k3.json"],
+    ["kpow", "2", "--field", "p3", "-o", "k2.json"],
+    ["bowtie", "d2.json", "d2.json", "-o", "dd.json"],
+    ["bowtie", "r3.json", "d3.json", "-o", "rd.json"],
+    ["check", "k3.json"],
+    ["check", "dd.json"],
+    ["check", "r3.json"],
+    ["check", "rq.json"],
+    ["weights", "dd.json"],
+    ["weights", "rd.json"],
+    ["weights", "rq.json"],
+    ["idempotents", "r3.json"],
+    ["idempotents", "dd.json"],
+    ["idempotents", "sq.json"],
+    ["ideal", "dd.json", "--gens", "0,1,0,0", "-o", "ideal.json"],
+    ["ideal", "r3.json", "--gens", "0,1,0", "--side", "right"],
+    ["ideal", "dd.json", "--gens", "1/0,1,0,0"],
+    ["project", "dd.json", "--ideal", "ideal.json"],
+    ["bijection", "dd.json"],
+    ["bijection", "rd.json"],
+    ["decompose", "dd.json"],
+    ["decompose", "cw3.json"],
+    ["decompose", "rd.json"],
+    ["decompose", "sq.json"],
+    ["classify", "k3.json"],
+    ["classify", "sq.json"],
+    ["classify", "d2.json"],
+    ["verify", "--trials", "1"],
+)
+
+
+def test_cli_transcripts_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    io.save(dual_numbers(F2), "d2.json")
+    io.save(dual_numbers(F3), "d3.json")
+    io.save(componentwise(F2, 3), "cw3.json")
+    io.save(random_baric(F3, 3, commutative=True, unital=True, seed=7), "r3.json")
+    io.save(random_rational_baric(3, [1, 2, 0], seed=1), "rq.json")
+    io.save(scalar_action(Q, [2, 3]), "sq.json")
+    digest = hashlib.sha256()
+    for argv in CLI_TRANSCRIPT_RUNS:
+        code = main(argv)
+        digest.update(repr((argv, code, capsys.readouterr().out)).encode())
+        if "-o" in argv:
+            digest.update(Path(argv[argv.index("-o") + 1]).read_bytes())
+    assert digest.hexdigest() == CLI_TRANSCRIPT_DIGEST
