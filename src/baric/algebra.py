@@ -5,8 +5,8 @@ once, as raw values (int residues over F_p, Fractions over Q) grouped by
 basis pair; absent entries are zero and zero entries are never stored, so
 structural equality of tensors is meaningful. `table` is a FieldElement
 view of the same constants, built when it is read. Elements are
-coordinate vectors tied to their parent algebra and support +, -, scalar
-multiples and the bilinear product.
+coordinate vectors tied to their parent algebra; +, -, scalar multiples
+and the bilinear product compute on their raw values.
 
 Every product kernel takes raw values; product_coords and Element(...)
 check caller-supplied FieldElements through FieldSpec.unwrap, the one door.
@@ -144,8 +144,8 @@ class Algebra:
 
 
 class Element:
-    """A vector of coordinates in a fixed algebra's basis, checked through
-    FieldSpec.unwrap; `values` keeps them as a tuple of raw values."""
+    """A vector of coordinates in a fixed algebra's basis, checked through FieldSpec.unwrap;
+    `values` keeps them as a tuple of raw values, which every operation reads."""
 
     __slots__ = ("algebra", "coords", "values")
 
@@ -160,36 +160,39 @@ class Element:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise DimensionMismatch("elements of different algebras")
 
+    def _new(self, raw: Sequence) -> "Element":
+        return Element(self.algebra, self.algebra.field.wrap(raw))
+
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._new([a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._new([a - b for a, b in zip(self.values, other.values)])
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-a for a in self.coords))
+        return self._new([-a for a in self.values])
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        a = self.algebra
-        return Element(a, a.field.wrap(a.times(self.values, other.values)))
+        return self._new(self.algebra.times(self.values, other.values))
 
     def scaled(self, c: FieldElement) -> "Element":
-        return Element(self.algebra, tuple(c * a for a in self.coords))
+        (s,) = self.algebra.field.unwrap((c,), 1)
+        return self._new([s * a for a in self.values])
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra == other.algebra and self.coords == other.coords
+        return self.algebra == other.algebra and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(self.values)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -198,16 +201,14 @@ class Element:
 def commutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - yx."""
     x._check(y)
-    a = x.algebra
-    return Element(a, a.field.wrap(a.raw_commutator(x.values, y.values)))
+    return x._new(x.algebra.raw_commutator(x.values, y.values))
 
 
 def associator(x: Element, y: Element, z: Element) -> Element:
     """(x, y, z) = (xy)z - x(yz)."""
     x._check(y)
     x._check(z)
-    a = x.algebra
-    return Element(a, a.field.wrap(a.raw_associator(x.values, y.values, z.values)))
+    return x._new(x.algebra.raw_associator(x.values, y.values, z.values))
 
 
 @dataclass(frozen=True)

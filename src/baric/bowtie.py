@@ -7,8 +7,9 @@ product on A1 (+) A2 is
 
 and the combined weight is (w1 | w2), i.e. w(a1, a2) = w1(a1) + w2(a2).
 The result carries a BowtieTag with the block split, so that
-factor-aware operations (block embeddings, projections, the ideal
-calculus) never have to guess it; the factor weights are the blocks of w.
+factor-aware operations never have to guess it: the block embeddings of
+factor elements (embed) and subspaces (embed_subspace, whose inverse is
+project) and the ideal calculus. The factor weights are the blocks of w.
 
 The module also provides the closed forms for commutators and
 associators of the product, the family of weight-one idempotents built
@@ -52,13 +53,9 @@ def bowtie(b1: BaricAlgebra, b2: BaricAlgebra) -> BaricAlgebra:
         table[(n1 + i, n1 + j, n1 + k)] = c
     w1, w2 = b1.weight.coords, b2.weight.coords
     for i in range(n1):
-        for j, w2j in enumerate(w2):
-            if w2j:
-                table[(i, n1 + j, i)] = w2j
-    for i in range(n2):
-        for j, w1j in enumerate(w1):
-            if w1j:
-                table[(n1 + i, j, n1 + i)] = w1j
+        table.update({(i, n1 + j, i): c for j, c in enumerate(w2) if c})
+    for i in range(n1, n1 + n2):
+        table.update({(i, j, i): c for j, c in enumerate(w1) if c})
     weight = Weight(b1.field, w1 + w2)
     return BaricAlgebra(Algebra(b1.field, n1 + n2, table), weight, BowtieTag(n1, n2))
 
@@ -110,6 +107,19 @@ def project(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
     if s.ambient_dim != b.dim:
         raise DimensionMismatch("subspace does not live in the product algebra")
     return span(b.field, size, [r[lo : lo + size] for r in s.basis])
+
+
+def embed_subspace(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
+    """Block embedding of a factor subspace into the product, the inverse of project."""
+    lo, size = _block(b, side)
+    if s.ambient_dim != size:
+        raise DimensionMismatch(f"{side} factor has dimension {size}")
+    if s.field is not b.field:
+        raise FieldMismatch(f"subspace over {s.field!r}, product over {b.field!r}")
+    # zero-padded RREF rows, pivots shifted, are RREF; zero.value is a Fraction over Q
+    pad = (b.field.zero.value,)
+    rows = tuple([pad * lo + r + pad * (b.dim - lo - size) for r in s.rows])
+    return Subspace(b.field, b.dim, rows, tuple([pc + lo for pc in s.pivots]))
 
 
 def split_element(b1: BaricAlgebra, b2: BaricAlgebra, x: Element) -> tuple[Element, Element]:
@@ -256,7 +266,7 @@ def structural_isos(
     f_swap = swap_matrix(b1, b2)
     swap_ok = baric_isomorphic_by(f_swap, bow12, bow21)
 
-    left_grouped = bowtie(bowtie(b1, b2), b3)
+    left_grouped = bowtie(bow12, b3)
     right_grouped = bowtie(b1, bowtie(b2, b3))
     f_assoc = Matrix.identity(b1.field, b1.dim + b2.dim + b3.dim)
     assoc_ok = baric_isomorphic_by(f_assoc, left_grouped, right_grouped)

@@ -34,8 +34,8 @@ from .weights import (
     kpow,
 )
 
-# malformed-input errors derive from ValueError; DivisionByZero is a ZeroDivisionError
-_USAGE_ERRORS = (ValueError, DivisionByZero)
+# exit 2: malformed input (ValueError), DivisionByZero (a ZeroDivisionError), a bad path
+_USAGE_ERRORS = (ValueError, DivisionByZero, OSError)
 
 
 def _coords_text(coords) -> str:
@@ -312,15 +312,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (*_USAGE_ERRORS, BaricError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return 2
-    except BaricError as exc:
-        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
 
 
 if __name__ == "__main__":

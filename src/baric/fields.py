@@ -95,7 +95,7 @@ class FieldSpec:
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
+        return cls(_as_int(p))  # None is no prime: FieldSpec(None) is Q
 
     @property
     def is_finite(self) -> bool:

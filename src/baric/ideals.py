@@ -31,7 +31,7 @@ from typing import Sequence
 from dataclasses import dataclass, replace
 
 from .algebra import Algebra, Element, property_flags
-from .bowtie import embed, factors, project
+from .bowtie import embed_subspace, factors, project
 from .errors import (
     DimensionMismatch,
     FactorsNotCommutativeUnital,
@@ -133,19 +133,12 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
 def embedded_ideal_check(bow: BaricAlgebra, side: str, ideal: Ideal) -> bool:
     """Does a two-sided factor ideal stay two-sided inside the product?
 
-    Computed directly on the embedded subspace. This is equivalent to
-    the ideal being contained in the kernel of its factor's weight.
+    Computed directly on embed_subspace. This is equivalent to the ideal
+    being contained in the kernel of its factor's weight.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if ideal.sided is not Sided.TWO_SIDED:
         raise ValueError("embedded_ideal_check needs a two-sided factor ideal")
-    embedded = span(
-        bow.field,
-        bow.dim,
-        [embed(bow, side, row).coords for row in ideal.space.basis],
-    )
-    return is_two_sided_ideal(bow.algebra, embedded)
+    return is_two_sided_ideal(bow.algebra, embed_subspace(bow, side, ideal.space))
 
 
 @dataclass(frozen=True)
@@ -188,10 +181,11 @@ def kernel_ideals(b: BaricAlgebra, cap: int | None = None) -> list[Subspace]:
 class KernelIdealBijection:
     """The pairing between factor kernel-ideals and product kernel-ideals.
 
-    phi maps a pair (I, J) to the block sum I (+) J; psi maps a product
-    ideal to its pair of block projections. `verified` records that over
-    the enumerated lattices phi and psi are mutually inverse between the
-    pair set and the product kernel-ideals minus the kernel itself.
+    phi maps a pair (I, J) to I (+) J, the sum of their block embeddings;
+    psi maps a product ideal to its pair of block projections. `verified`
+    records that over the enumerated lattices phi and psi are mutually
+    inverse between the pair set and the product kernel-ideals minus the
+    kernel itself.
     """
 
     bow: BaricAlgebra
@@ -201,9 +195,7 @@ class KernelIdealBijection:
     verified: bool
 
     def phi(self, left: Subspace, right: Subspace) -> Subspace:
-        rows = [embed(self.bow, "left", r).coords for r in left.basis]
-        rows += [embed(self.bow, "right", r).coords for r in right.basis]
-        return span(self.bow.field, self.bow.dim, rows)
+        return embed_subspace(self.bow, "left", left) + embed_subspace(self.bow, "right", right)
 
     def psi(self, s: Subspace) -> tuple[Subspace, Subspace]:
         return project(self.bow, "left", s), project(self.bow, "right", s)
@@ -308,10 +300,11 @@ def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
       search may visit nearly all of them; see check_subspace_cap). For
       k = 1 .. dim V // 2 the ideals of dimension dim V - k are listed
       once and those of dimension k are walked lazily, both in
-      enumeration order; the first complementary pair (n1, n2) is the
-      witness, n1 of dimension k and, when both have the same dimension,
-      n2 after n1. That is the first pair with n2 at or after n1 in the
-      whole lattice's order. With no pair the outcome is INDECOMPOSABLE.
+      enumeration order. The witness is the first pair with n1 & n2 = 0,
+      which alone proves n1 + n2 = V as dim n1 + dim n2 = dim V: n1 of
+      dimension k and, for equal dimensions, n2 after n1, so the first
+      complementary pair with n2 at or after n1 in the whole lattice's
+      order. With no pair the outcome is INDECOMPOSABLE.
     """
     idems = find_weight_one_idempotents(b, cap, limit=1)
     idem = idems[0] if idems else None
@@ -335,6 +328,6 @@ def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
             pairs = ((n1, large) for n1 in small)
         for n1, partners in pairs:
             for n2 in partners:
-                if n1.intersect(n2).dim == 0 and n1.sum(n2) == kernel:
+                if n1.intersect(n2).is_zero:
                     return Decomposability(DecompOutcome.DECOMPOSABLE, idem, n1, n2)
     return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)

@@ -262,7 +262,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return span(self.field, self.ambient_dim, self.basis + other.basis)
+        return _raw_span(self.field, self.ambient_dim, self.rows + other.rows)
 
     __add__ = sum
 
@@ -316,11 +316,12 @@ def raw_residue(s: Subspace, v: Sequence) -> list:
 
 
 def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence[FieldElement]]) -> Subspace:
-    """Canonical subspace spanned by the given coordinate vectors."""
-    unwrap = field.unwrap
-    rows = [unwrap(v, ambient_dim) for v in vectors]
-    if not rows:
-        return Subspace.zero_space(field, ambient_dim)
+    """Canonical subspace spanned by the given coordinate vectors, unwrapped once."""
+    return _raw_span(field, ambient_dim, [field.unwrap(v, ambient_dim) for v in vectors])
+
+
+def _raw_span(field: FieldSpec, ambient_dim: int, rows: Sequence[Sequence]) -> Subspace:
+    """Canonical subspace spanned by canonical raw rows; no rows give the zero space."""
     reduced, pivots = _rref(field, rows, ambient_dim)
     return Subspace(field, ambient_dim, tuple(reduced[: len(pivots)]), tuple(pivots))
 

@@ -48,8 +48,10 @@ class Weight:
         return sum(map(mul, self.values, values))
 
     def __call__(self, x) -> FieldElement:
-        coords = x.coords if isinstance(x, Element) else x
-        return self.field.wrap([self.at(self.field.unwrap(coords, len(self.values)))])[0]
+        field, n = self.field, len(self.values)
+        if isinstance(x, Element) and x.algebra.field is field and x.algebra.dim == n:
+            return field.wrap([self.at(x.values)])[0]  # checked when the Element was built
+        return field.wrap([self.at(field.unwrap(x.coords if isinstance(x, Element) else x, n))])[0]
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -174,8 +176,7 @@ def nil_kernel_witness(b: BaricAlgebra) -> Element | None:
     kernel basis vector nilpotates.
     """
     for row in b.kernel().basis:
-        x = Element(b.algebra, row)
-        power = x
+        x = power = Element(b.algebra, row)
         for _ in range(b.dim):
             power = power * x
         if not power.is_zero:

@@ -14,6 +14,7 @@ from baric import (
     NotABowtie,
     NotIdempotentInput,
     NotWeightPreserving,
+    Subspace,
     Weight,
     WeightNotOne,
     associativity_character,
@@ -33,15 +34,17 @@ from baric import (
     property_flags,
     random_baric,
     random_rational_baric,
+    span,
     span_of,
     split_element,
     structural_isos,
     transport_iso,
     validate_weight,
 )
+from baric.bowtie import embed_subspace
 from baric.weights import BaricAlgebra
 from baric.catalog import dual_numbers, scalar_action
-from test_lattice_primitives import reference_product
+from test_lattice_primitives import _random_vectors, reference_product
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -515,3 +518,45 @@ def test_raw_kernels_keep_their_error_checks():
         w((Q.one, Q.one))
     with pytest.raises(DimensionMismatch):
         w((F3.one,))
+
+
+def _two_factor_product(field, seed):
+    """A product of random factors of dimensions 2 and 3 over the field."""
+    if field.p is None:
+        left, right = random_rational_baric(2, [1, 0], seed), random_rational_baric(3, [2, 1, 0], seed + 1)
+        return bowtie(left, right)
+    return bowtie(random_baric(field, 2, seed=seed), random_baric(field, 3, seed=seed + 1))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4099, Q], ids=lambda f: f.token)
+@pytest.mark.parametrize("seed", range(4))
+def test_embed_subspace_matches_the_per_row_embedding(field, seed):
+    rng = random.Random(seed)
+    b = _two_factor_product(field, seed)
+    for side, fac in zip(("left", "right"), factors(b)):
+        # count 0 is the zero subspace; more rows than fac.dim spans the whole factor or less
+        for count in range(fac.dim + 2):
+            s = span_of(field, fac.dim, _random_vectors(rng, field, fac.dim, count))
+            expected = span(field, b.dim, [embed(b, side, r).coords for r in s.basis])
+            got = embed_subspace(b, side, s)
+            assert got == expected and got.pivots == expected.pivots
+            assert project(b, side, got) == s
+            if field.p is None:
+                assert all(type(x) is Fraction for r in got.rows for x in r)
+        assert embed_subspace(b, side, Subspace.zero_space(field, fac.dim)).is_zero
+
+
+def test_embed_subspace_refusals():
+    b = bowtie(kpow(F3, 2), kpow(F3, 1))
+    with pytest.raises(DimensionMismatch):
+        embed_subspace(b, "left", Subspace.full(F3, 1))
+    with pytest.raises(DimensionMismatch):
+        embed_subspace(b, "right", Subspace.full(F3, 2))
+    with pytest.raises(FieldMismatch):
+        embed_subspace(b, "left", Subspace.full(F2, 2))
+    # the side is checked before the subspace
+    with pytest.raises(ValueError) as bad_side:
+        embed_subspace(b, "middle", Subspace.full(F2, 5))
+    assert type(bad_side.value) is ValueError
+    with pytest.raises(NotABowtie):
+        embed_subspace(kpow(F3, 1), "left", Subspace.full(F2, 5))

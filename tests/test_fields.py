@@ -23,8 +23,10 @@ from baric.algebra import Element
 from baric.linalg import row_times_matrix
 
 Q = FieldSpec.rationals()
+F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F4099 = FieldSpec.prime(4099)  # above the interning limit
 
 
 def test_field_spec_interning_and_validation():
@@ -174,3 +176,64 @@ def test_element_keeps_its_raw_values_as_a_tuple():
     assert x.values == (Fraction(1, 2), Fraction(0), Fraction(-3))
     assert type(x.values) is tuple
     assert list((x * x).coords) == a.product_coords(x.coords, x.coords)
+
+
+def test_prime_needs_an_integer_modulus():
+    with pytest.raises(TypeError):
+        FieldSpec.prime(None)
+    with pytest.raises(TypeError):
+        FieldSpec.prime(3.0)
+    assert FieldSpec.prime(3) is F3
+    assert FieldSpec(None) is Q and FieldSpec.rationals() is Q
+
+
+def _assert_canonical(x):
+    """Raw values are residues in [0, p) over F_p and Fractions over Q, as the coords hold them."""
+    p = x.algebra.field.p
+    if p is None:
+        assert all(type(v) is Fraction for v in x.values)
+    else:
+        assert all(type(v) is int and 0 <= v < p for v in x.values)
+    assert x.values == tuple(c.value for c in x.coords)
+
+
+@st.composite
+def element_operands(draw):
+    field = draw(st.sampled_from([F2, F3, F4099, Q]))
+    n = draw(st.integers(1, 4))
+    if field.p is None:
+        scalars = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    else:
+        scalars = st.integers(-3 * field.p, 3 * field.p)
+    a = kpow(field, n).algebra
+    x, y = (a.element(draw(st.lists(scalars, min_size=n, max_size=n))) for _ in range(2))
+    return x, y, field.element(draw(scalars))
+
+
+@settings(max_examples=120, deadline=None)
+@given(element_operands())
+def test_element_arithmetic_on_raw_values_matches_fieldelement_ops(operands):
+    x, y, c = operands
+    a = x.algebra
+    cases = [
+        (x + y, [u + v for u, v in zip(x.coords, y.coords)]),
+        (x - y, [u - v for u, v in zip(x.coords, y.coords)]),
+        (-x, [-u for u in x.coords]),
+        (x.scaled(c), [c * u for u in x.coords]),
+    ]
+    for got, reference in cases:
+        expected = Element(a, tuple(reference))
+        assert got.coords == expected.coords
+        assert got == expected and hash(got) == hash(expected)
+        assert got.is_zero == (not any(reference))
+        _assert_canonical(got)
+    _assert_canonical(x * y)
+    assert (x - x).is_zero and x - x == a.zero()
+
+
+def test_scaled_checks_its_scalar():
+    x = kpow(F3, 2).algebra.element([1, 2])
+    with pytest.raises(TypeError):
+        x.scaled(2)
+    with pytest.raises(FieldMismatch):
+        x.scaled(F5.one)

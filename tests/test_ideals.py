@@ -438,3 +438,24 @@ def test_commutant_dim_matches_brute_force_count(field_and_max, data):
         b = random_baric(field, n, seed=data.draw(st.integers(0, 10_000)), **flags)
     kernel = b.kernel()
     assert field.p ** _commutant_dim(b.algebra, kernel) == _brute_force_commutant_count(b.algebra, kernel)
+
+
+def _single_span_phi(result, left, right):
+    """phi as one span of both blocks' embedded basis rows."""
+    rows = [embed(result.bow, "left", r).coords for r in left.basis]
+    rows += [embed(result.bow, "right", r).coords for r in right.basis]
+    return span_of(result.bow.field, result.bow.dim, rows)
+
+
+@pytest.mark.parametrize("field, d1, d2", [(F2, 2, 3), (F2, 3, 3), (F3, 2, 2), (F3, 2, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_phi_matches_the_single_span_of_both_embeddings(field, d1, d2, seed):
+    def factor(dim, s):
+        return random_baric(field, dim, commutative=True, unital=True, seed=s)
+
+    result = kernel_ideal_bijection(bowtie(factor(d1, seed), factor(d2, seed + 100)))
+    for i in result.left_ideals:
+        for j in result.right_ideals:
+            image = result.phi(i, j)
+            expected = _single_span_phi(result, i, j)
+            assert image == expected and image.pivots == expected.pivots

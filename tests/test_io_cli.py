@@ -311,6 +311,13 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
     assert missing == 2
 
 
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "k2.json"
+    assert main(["kpow", "2", "--field", "p3", "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error=FileNotFoundError detail=")
+
+
 def test_cli_division_by_zero_is_a_usage_error(tmp_path, capsys):
     doc = dict(FIELD_SQUARE_DOC, mul=FIELD_SQUARE_DOC["mul"][:-1] + [[1, 1, 1, "1/0"]])
     path = tmp_path / "div0.json"

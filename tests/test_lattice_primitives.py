@@ -334,3 +334,30 @@ def test_primality_matches_trial_division():
         assert not _is_prime(n)
     with pytest.raises(ValueError):
         FieldSpec.prime(3825123056546413051)
+
+
+@st.composite
+def subspace_pairs(draw):
+    field = draw(st.sampled_from([F2, F3, F5, F4099, Q]))
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    return tuple(
+        span_of(field, n, _random_vectors(rng, field, n, draw(st.integers(0, n)))) for _ in range(2)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspace_pairs())
+def test_sum_matches_the_span_of_both_bases(pair):
+    s, t = pair
+    expected = span(s.field, s.ambient_dim, s.basis + t.basis)
+    got = s.sum(t)
+    assert got == expected and got.pivots == expected.pivots
+    assert got == t + s and got.contains(s) and got.contains(t)
+
+
+def test_span_of_no_vectors_is_the_zero_space():
+    for field in (F2, F4099, Q):
+        zero = span(field, 3, [])
+        assert zero == Subspace.zero_space(field, 3) and zero.pivots == () and zero.rows == ()
+        assert zero.sum(zero) == zero

@@ -7,6 +7,8 @@ from baric import (
     Algebra,
     BaricAlgebra,
     CharacteristicObstruction,
+    DimensionMismatch,
+    FieldMismatch,
     FieldSpec,
     Matrix,
     Weight,
@@ -249,3 +251,21 @@ def test_kernel_subspace():
     assert kernel.dim == b.dim - 1
     for row in kernel.basis:
         assert b.weight(row) == Q.zero
+
+
+@pytest.mark.parametrize("field", [F2, F3, FieldSpec.prime(4099), Q], ids=lambda f: f.token)
+def test_weight_of_an_element_agrees_with_its_coordinates(field):
+    b = random_baric(field, 4, seed=5) if field.is_finite else kpow(Q, 4)
+    rng = random.Random(7)
+    for _ in range(20):
+        x = b.element([rng.randrange(-9, 9) for _ in range(b.dim)])
+        assert b.weight(x) == b.weight(x.coords)
+        assert b.weight(x).field is field
+
+
+def test_weight_of_a_foreign_element_is_refused():
+    w = Weight(F3, [1, 1, 1])
+    with pytest.raises(FieldMismatch):
+        w(kpow(FieldSpec.prime(5), 3).algebra.element([1, 2, 3]))
+    with pytest.raises(DimensionMismatch):
+        w(kpow(F3, 2).algebra.element([1, 2]))
