@@ -5,11 +5,12 @@ once, as raw values (int residues over F_p, Fractions over Q) grouped by
 basis pair; absent entries are zero and zero entries are never stored, so
 structural equality of tensors is meaningful. `table` is a FieldElement
 view of the same constants, built when it is read. Elements are
-coordinate vectors tied to their parent algebra; +, -, scalar multiples
-and the bilinear product compute on their raw values.
+coordinate vectors tied to their parent algebra, stored the same way: as
+canonical raw `values`, with `coords` a FieldElement view built when read.
 
-Every product kernel takes raw values; product_coords and Element(...)
-check caller-supplied FieldElements through FieldSpec.unwrap, the one door.
+Every kernel takes raw values, and Element._raw builds the elements they
+compute; product_coords and Element(...) check caller input through
+FieldSpec.unwrap, the one door.
 """
 
 from __future__ import annotations
@@ -120,11 +121,10 @@ class Algebra:
     def basis_element(self, i: int) -> "Element":
         if not 0 <= i < self.dim:
             raise DimensionMismatch(f"basis index {i} out of range")
-        zero, one = self.field.zero, self.field.one
-        return Element(self, tuple(one if j == i else zero for j in range(self.dim)))
+        return Element._raw(self, [int(j == i) for j in range(self.dim)])
 
     def zero(self) -> "Element":
-        return Element(self, (self.field.zero,) * self.dim)
+        return Element._raw(self, [0] * self.dim)
 
     def __eq__(self, other) -> bool:
         # basis names are labels, not structure
@@ -145,14 +145,26 @@ class Algebra:
 
 class Element:
     """A vector of coordinates in a fixed algebra's basis, checked through FieldSpec.unwrap;
-    `values` keeps them as a tuple of raw values, which every operation reads."""
+    `values` keeps them as a tuple of canonical raw values, which every operation reads."""
 
-    __slots__ = ("algebra", "coords", "values")
+    __slots__ = ("algebra", "values")
 
     def __init__(self, algebra: Algebra, coords: tuple[FieldElement, ...]):
         self.values = algebra.field.unwrap(coords, algebra.dim)
         self.algebra = algebra
-        self.coords = coords
+
+    @classmethod
+    def _raw(cls, algebra: Algebra, raw: Sequence) -> "Element":
+        """The element with raw coordinates computed by the library, made canonical."""
+        self = object.__new__(cls)
+        self.values = algebra.field.canon(raw)
+        self.algebra = algebra
+        return self
+
+    @property
+    def coords(self) -> tuple[FieldElement, ...]:
+        """The coordinates as FieldElements, wrapped on each access."""
+        return self.algebra.field.wrap(self.values)
 
     def _check(self, other: "Element") -> None:
         if not isinstance(other, Element):
@@ -160,27 +172,24 @@ class Element:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise DimensionMismatch("elements of different algebras")
 
-    def _new(self, raw: Sequence) -> "Element":
-        return Element(self.algebra, self.algebra.field.wrap(raw))
-
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        return self._new([a + b for a, b in zip(self.values, other.values)])
+        return Element._raw(self.algebra, [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
-        return self._new([a - b for a, b in zip(self.values, other.values)])
+        return Element._raw(self.algebra, [a - b for a, b in zip(self.values, other.values)])
 
     def __neg__(self) -> "Element":
-        return self._new([-a for a in self.values])
+        return Element._raw(self.algebra, [-a for a in self.values])
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        return self._new(self.algebra.times(self.values, other.values))
+        return Element._raw(self.algebra, self.algebra.times(self.values, other.values))
 
     def scaled(self, c: FieldElement) -> "Element":
         (s,) = self.algebra.field.unwrap((c,), 1)
-        return self._new([s * a for a in self.values])
+        return Element._raw(self.algebra, [s * a for a in self.values])
 
     @property
     def is_zero(self) -> bool:
@@ -195,20 +204,20 @@ class Element:
         return hash(self.values)
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(str(c) for c in self.values) + ")"
 
 
 def commutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - yx."""
     x._check(y)
-    return x._new(x.algebra.raw_commutator(x.values, y.values))
+    return Element._raw(x.algebra, x.algebra.raw_commutator(x.values, y.values))
 
 
 def associator(x: Element, y: Element, z: Element) -> Element:
     """(x, y, z) = (xy)z - x(yz)."""
     x._check(y)
     x._check(z)
-    return x._new(x.algebra.raw_associator(x.values, y.values, z.values))
+    return Element._raw(x.algebra, x.algebra.raw_associator(x.values, y.values, z.values))
 
 
 @dataclass(frozen=True)
@@ -308,6 +317,14 @@ def property_flags(a: Algebra) -> PropertyFlags:
         unital=unit is not None,
         unit=unit,
     )
+
+
+def check_subspace(a: Algebra, s: Subspace) -> None:
+    """Refuse a subspace that does not live in the algebra."""
+    if s.field is not a.field:
+        raise FieldMismatch(f"subspace over {s.field!r}, algebra over {a.field!r}")
+    if s.ambient_dim != a.dim:
+        raise DimensionMismatch("subspace does not live in the algebra")
 
 
 def commutative_center(a: Algebra) -> Subspace:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, property_flags
+from .algebra import Algebra, Element, check_subspace, property_flags
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -33,7 +33,7 @@ from .errors import (
     WeightNotOne,
 )
 from .fields import FieldElement
-from .linalg import Matrix, Subspace, span
+from .linalg import Matrix, Subspace, _raw_span
 from .weights import (
     BaricAlgebra,
     BowtieTag,
@@ -51,7 +51,7 @@ def bowtie(b1: BaricAlgebra, b2: BaricAlgebra) -> BaricAlgebra:
     table = dict(b1.algebra.entries())
     for (i, j, k), c in b2.algebra.entries():
         table[(n1 + i, n1 + j, n1 + k)] = c
-    w1, w2 = b1.weight.coords, b2.weight.coords
+    w1, w2 = b1.weight.values, b2.weight.values
     for i in range(n1):
         table.update({(i, n1 + j, i): c for j, c in enumerate(w2) if c})
     for i in range(n1, n1 + n2):
@@ -83,7 +83,7 @@ def factor(b: BaricAlgebra, side: str) -> BaricAlgebra:
     names = None
     if b.algebra.basis_names is not None:
         names = b.algebra.basis_names[lo : lo + size]
-    weight = Weight(b.field, b.weight.coords[lo : lo + size])
+    weight = Weight(b.field, b.weight.values[lo : lo + size])
     return BaricAlgebra(Algebra(b.field, size, table, names), weight)
 
 
@@ -104,9 +104,8 @@ def embed(b: BaricAlgebra, side: str, x) -> Element:
 def project(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
     """Coordinate projection of a subspace onto one block, in the factor."""
     lo, size = _block(b, side)
-    if s.ambient_dim != b.dim:
-        raise DimensionMismatch("subspace does not live in the product algebra")
-    return span(b.field, size, [r[lo : lo + size] for r in s.basis])
+    check_subspace(b.algebra, s)
+    return _raw_span(b.field, size, [r[lo : lo + size] for r in s.rows])
 
 
 def embed_subspace(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:

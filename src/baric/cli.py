@@ -25,6 +25,7 @@ from .ideals import (
     Ideal,
     sidedness,
 )
+from .linalg import enumeration_cap
 from .propcheck import PROPOSITION_IDS, RunConfig, check
 from .weights import (
     baric_isomorphic_by,
@@ -67,7 +68,7 @@ def _cmd_check(args) -> int:
     center = commutative_center(b.algebra)
     print(f"file={args.file}")
     print(f"field={b.field.token} dim={b.dim}")
-    print(f"weight={_coords_text(b.weight.coords)} weight_valid=true")
+    print(f"weight={_coords_text(b.weight.values)} weight_valid=true")
     line = (
         f"commutative={_bool(flags.commutative)}"
         f" associative={_bool(flags.associative)}"
@@ -76,7 +77,7 @@ def _cmd_check(args) -> int:
         f" unital={_bool(flags.unital)}"
     )
     if flags.unit is not None:
-        line += f" unit={_coords_text(flags.unit.coords)}"
+        line += f" unit={_coords_text(flags.unit.values)}"
     print(line)
     print(f"center_dim={center.dim}")
     if b.provenance is not None:
@@ -106,12 +107,12 @@ def _cmd_weights(args) -> int:
     if b.field.is_finite:
         found = enumerate_weights(b.algebra, args.cap)
         for w in found:
-            print(f"weight={_coords_text(w.coords)}")
+            print(f"weight={_coords_text(w.values)}")
         print(f"count={len(found)}")
         stored = b.weight in found
         print(f"stored_weight_found={_bool(stored)}")
         return 0 if stored else 1
-    print(f"stored={_coords_text(b.weight.coords)} valid=true")
+    print(f"stored={_coords_text(b.weight.values)} valid=true")
     print("count=unknown note=enumeration_needs_a_prime_field")
     return 0
 
@@ -120,7 +121,7 @@ def _cmd_idempotents(args) -> int:
     b = io.load(args.file)
     found = find_weight_one_idempotents(b, args.cap)
     for x in found:
-        print(f"idempotent={_coords_text(x.coords)}")
+        print(f"idempotent={_coords_text(x.values)}")
     print(f"count={len(found)}")
     print(f"search={'exhaustive' if b.field.is_finite else 'heuristic'}")
     return 0
@@ -177,7 +178,7 @@ def _cmd_decompose(args) -> int:
     result = decomposability(b, args.cap)
     print(f"outcome={result.outcome.value}")
     if result.idempotent is not None:
-        print(f"idempotent={_coords_text(result.idempotent.coords)}")
+        print(f"idempotent={_coords_text(result.idempotent.values)}")
     if result.n1 is not None:
         for row in result.n1.basis:
             print(f"n1_vector={_coords_text(row)}")
@@ -215,7 +216,7 @@ def _cmd_verify(args) -> int:
     field = FieldSpec.from_token(args.field) if args.field else None
     if field is not None and not field.is_finite:
         raise ValueError("verify needs a prime field token like p3")
-    cfg = RunConfig(field=field, max_dim=args.maxdim, cap=args.cap)
+    cfg = RunConfig(field=field, max_dim=args.maxdim, cap=enumeration_cap(args.cap))
     all_pass = True
     for pid in ids:
         report = check(pid, args.trials, args.seed, cfg)

@@ -3,8 +3,8 @@
 Rational values are reduced fractions with positive denominator; prime
 field values are residues in [0, p). Canonical forms are unique, so
 ``==`` is exact mathematical equality and no tolerances appear anywhere.
-Elements of small prime fields are interned, which keeps the inner loops
-of the linear algebra allocation-free.
+Elements of small prime fields are interned, so FieldElement views cost
+no allocation and their equality tests mostly end at the identity check.
 
 Every kernel in `fields`, `linalg`, `algebra` and `weights` takes raw values.
 `FieldSpec.unwrap` is the one door from caller-supplied FieldElements to
@@ -123,23 +123,22 @@ class FieldSpec:
         table = self._table
         return FieldElement._raw(self, value % p) if table is None else table[value % p]
 
-    def wrap(self, values) -> tuple["FieldElement", ...]:
-        """FieldElements for raw values: ints reduced mod p, or rationals.
-
-        Raw values are what the inner loops compute on: unreduced ints over
-        F_p and Fractions (or ints) over Q.
-        """
+    def canon(self, values) -> tuple:
+        """Canonical form of raw values, the unreduced ints over F_p and Fractions (or ints)
+        over Q that the inner loops compute on: residues in [0, p), or Fractions."""
         p = self.p
         if p is None:
-            zero = self.zero
-            return tuple([
-                FieldElement._raw(self, v if type(v) is Fraction else Fraction(v)) if v else zero
-                for v in values
-            ])
+            zero = self.zero.value  # one shared Fraction: building Fraction(0) is slow
+            return tuple([v if type(v) is Fraction else Fraction(v) if v else zero for v in values])
+        return tuple([v % p for v in values])
+
+    def wrap(self, values) -> tuple["FieldElement", ...]:
+        """FieldElements for raw values, through their canonical form."""
         table = self._table
         if table is not None:
-            return tuple([table[v % p] for v in values])
-        return tuple([FieldElement._raw(self, v % p) for v in values])
+            return tuple([table[v] for v in self.canon(values)])
+        zero = self.zero
+        return tuple([FieldElement._raw(self, v) if v else zero for v in self.canon(values)])
 
     def unwrap(self, coords: Sequence, n: int) -> tuple:
         """Raw values of n caller-supplied FieldElements of this field: the inverse of wrap.

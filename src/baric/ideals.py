@@ -16,10 +16,9 @@ cap. Decomposability first tries a certificate from the endomorphism
 ring of Ker w, which visits no subspace and needs no cap, and only then
 a capped search for the first witness pair in enumeration order.
 
-The module keeps no arithmetic of its own: images of basis vectors come
-from Algebra.times_basis and membership from linalg.raw_residue, both on
-raw values (int residues over F_p, Fractions over Q), as are the rows a
-Subspace stores.
+Images of basis vectors come from Algebra.times_basis and membership
+from linalg.raw_residue, both on raw values as a Subspace stores its rows.
+The module's own arithmetic is the elimination mod p in _commutant_dim.
 """
 
 from __future__ import annotations
@@ -30,13 +29,9 @@ from typing import Sequence
 
 from dataclasses import dataclass, replace
 
-from .algebra import Algebra, Element, property_flags
+from .algebra import Algebra, Element, check_subspace, property_flags
 from .bowtie import embed_subspace, factors, project
-from .errors import (
-    DimensionMismatch,
-    FactorsNotCommutativeUnital,
-    FieldMismatch,
-)
+from .errors import DimensionMismatch, FactorsNotCommutativeUnital
 from .linalg import (
     Subspace,
     check_subspace_cap,
@@ -72,17 +67,9 @@ def _closed(a: Algebra, s: Subspace, left: bool) -> bool:
     return True
 
 
-def _check_subspace(a: Algebra, s: Subspace) -> None:
-    """Refuse a subspace that does not live in the algebra."""
-    if s.field is not a.field:
-        raise FieldMismatch(f"subspace over {s.field!r}, algebra over {a.field!r}")
-    if s.ambient_dim != a.dim:
-        raise DimensionMismatch("subspace does not live in the algebra")
-
-
 def sidedness(a: Algebra, s: Subspace) -> Sided:
     """Strongest ideal label of a subspace, by direct multiplication tests."""
-    _check_subspace(a, s)
+    check_subspace(a, s)
     if not _closed(a, s, left=False):
         return Sided.NONE
     if _closed(a, s, left=True):
@@ -91,7 +78,7 @@ def sidedness(a: Algebra, s: Subspace) -> Sided:
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
-    _check_subspace(a, s)
+    check_subspace(a, s)
     return _closed(a, s, left=False) and _closed(a, s, left=True)
 
 

@@ -66,7 +66,7 @@ def algebra_to_document(b: BaricAlgebra) -> dict:
     if b.algebra.basis_names is not None:
         doc["basis"] = list(b.algebra.basis_names)
     doc["mul"] = [[i, j, k, str(c)] for (i, j, k), c in b.algebra.entries()]
-    doc["weight"] = [str(w) for w in b.weight.coords]
+    doc["weight"] = [str(w) for w in b.weight.values]
     if b.provenance is not None:
         doc["provenance"] = {
             "bowtie": {
@@ -96,7 +96,6 @@ def document_to_algebra(doc) -> BaricAlgebra:
     if not isinstance(mul, list):
         raise ParseError("mul: expected an array of [i, j, k, coeff] entries")
     table = {}
-    seen = set()
     for pos, entry in enumerate(mul):
         where = f"mul[{pos}]"
         if not (isinstance(entry, list) and len(entry) == 4):
@@ -107,9 +106,8 @@ def document_to_algebra(doc) -> BaricAlgebra:
                 raise ParseError(f"{where}: index {name}={idx!r} out of range for dim {dim}")
         if not isinstance(coeff, str):
             raise ParseError(f"{where}: coefficient must be a string")
-        if (i, j, k) in seen:
+        if (i, j, k) in table:
             raise DuplicateTriple(f"{where}: triple ({i},{j},{k}) appears twice")
-        seen.add((i, j, k))
         try:
             table[(i, j, k)] = parse_scalar(coeff, field)
         except ParseError as exc:
@@ -146,7 +144,7 @@ def _read_provenance(prov, b: BaricAlgebra) -> None:
         raise ParseError("provenance: block dimensions must be positive integers")
     if n1 + n2 != b.dim:
         raise ParseError(f"provenance: blocks {n1}+{n2} do not sum to dim {b.dim}")
-    if not (any(b.weight.coords[:n1]) and any(b.weight.coords[n1:])):
+    if not (any(b.weight.values[:n1]) and any(b.weight.values[n1:])):
         raise ParseError("provenance: a factor weight block is zero")
     b.provenance = BowtieTag(n1, n2)
     try:

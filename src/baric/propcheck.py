@@ -191,7 +191,7 @@ def random_rational_baric(dim: int, weight, seed: int = 0) -> BaricAlgebra:
     w = Weight(field, weight)
     if len(w) != dim:
         raise DimensionMismatch(f"weight of length {len(w)} for dim {dim}")
-    if not w.coords[0]:
+    if not w.values[0]:
         raise ValueError("leading weight coordinate must be nonzero")
     rng = random.Random(seed)
     table = _pivot_table(
@@ -364,9 +364,9 @@ def _check_c41(rng, t, cfg):
         for i in range(fac.dim):
             for j in range(fac.dim):
                 image = embed(bow, side, fac.basis_element(i) * fac.basis_element(j))
-                if (bow.basis_element(lo + i) * bow.basis_element(lo + j)).coords != image.coords:
+                if (bow.basis_element(lo + i) * bow.basis_element(lo + j)).values != image.values:
                     raise CheckFailure("embedding is not multiplicative", b1, b2)
-            if bow.weight.coords[lo + i] != fac.weight.coords[i]:
+            if bow.weight.values[lo + i] != fac.weight.values[i]:
                 raise CheckFailure("embedding does not preserve weight", b1, b2)
     if len(enumerate_weights(bow.algebra, cfg.cap)) != 1:
         raise CheckFailure("ambient weight is not unique", b1, b2)

@@ -1,10 +1,11 @@
 """Weight functionals and baric algebras.
 
 A baric algebra is an algebra A together with a nonzero algebra
-homomorphism w: A -> K, stored here as the coordinate vector of w on the
-chosen basis. The homomorphism condition on basis pairs,
-sum_k c[i,j,k] w_k = w_i w_j, is checked on construction, so a
-BaricAlgebra is valid by the time you hold one.
+homomorphism w: A -> K, stored here once as the canonical raw values of
+its coordinate vector on the chosen basis (`coords` is a FieldElement
+view). The homomorphism condition on basis pairs, sum_k c[i,j,k] w_k =
+w_i w_j, is checked on construction, so a BaricAlgebra is valid by the
+time you hold one.
 """
 
 from __future__ import annotations
@@ -26,22 +27,26 @@ from .linalg import Matrix, Subspace, iter_vectors, kernel_basis, span
 
 
 class Weight:
-    """Coordinate vector of a linear functional on the basis."""
+    """Coordinate vector of a linear functional on the basis, kept as canonical raw `values`."""
 
-    __slots__ = ("field", "coords", "values")
+    __slots__ = ("field", "values")
 
     def __init__(self, field: FieldSpec, coords: Sequence):
         self.field = field
-        self.coords = tuple(field.element(c) for c in coords)
-        self.values = tuple([c.value for c in self.coords])
+        self.values = tuple([field.element(c).value for c in coords])
 
     @classmethod
     def ones(cls, field: FieldSpec, n: int) -> "Weight":
         return cls(field, [field.one] * n)
 
     @property
+    def coords(self) -> tuple[FieldElement, ...]:
+        """The coordinates as FieldElements, wrapped on each access."""
+        return self.field.wrap(self.values)
+
+    @property
     def is_nonzero(self) -> bool:
-        return any(self.coords)
+        return any(self.values)
 
     def at(self, values: Sequence):
         """w(x) as a raw value (unreduced over F_p), from raw coordinates of x."""
@@ -54,18 +59,18 @@ class Weight:
         return field.wrap([self.at(field.unwrap(x.coords if isinstance(x, Element) else x, n))])[0]
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Weight):
             return NotImplemented
-        return self.field is other.field and self.coords == other.coords
+        return self.field is other.field and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.coords))
+        return hash((self.field.p, self.values))
 
     def __repr__(self) -> str:
-        return "Weight(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "Weight(" + ", ".join(str(c) for c in self.values) + ")"
 
 
 @dataclass(frozen=True)
@@ -175,8 +180,8 @@ def nil_kernel_witness(b: BaricAlgebra) -> Element | None:
     x^(dim+1) does, and that is the one test made. Returns None when every
     kernel basis vector nilpotates.
     """
-    for row in b.kernel().basis:
-        x = power = Element(b.algebra, row)
+    for row in b.kernel().rows:
+        x = power = Element._raw(b.algebra, row)
         for _ in range(b.dim):
             power = power * x
         if not power.is_zero:
@@ -228,16 +233,16 @@ def normalize_weight_one_basis(b: BaricAlgebra) -> tuple[BaricAlgebra, Matrix]:
 
 
 def scalar_action_table(weight: Weight) -> dict:
-    """Structure constants of the law x*y = w(y)*x: c[i,j,k] = w_j 1{k=i}, zeros left out."""
+    """Raw structure constants of the law x*y = w(y)*x: c[i,j,k] = w_j 1{k=i}, zeros left out."""
     n = len(weight)
-    return {(i, j, i): wj for i in range(n) for j, wj in enumerate(weight.coords) if wj}
+    return {(i, j, i): wj for i in range(n) for j, wj in enumerate(weight.values) if wj}
 
 
 def is_scalar_action(algebra: Algebra, weight: Weight) -> bool:
     """Basis-level test for the law x*y = w(y)*x."""
     if len(weight) != algebra.dim:
         raise DimensionMismatch("weight length does not match the algebra dimension")
-    return algebra.table == scalar_action_table(weight)
+    return dict(algebra.entries()) == scalar_action_table(weight)
 
 
 def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
@@ -292,8 +297,8 @@ def baric_isomorphic_by(f: Matrix, b1: BaricAlgebra, b2: BaricAlgebra) -> bool:
         raise DimensionMismatch("map matrix must be dim(source) x dim(target)")
     if f.nrows != f.ncols or not f.is_invertible:
         return False
-    for i in range(b1.dim):
-        if b2.weight(f.rows[i]) != b1.weight.coords[i]:
+    for row, wi in zip(f.rows, b1.weight.coords):
+        if b2.weight(row) != wi:
             return False
     return change_basis(b2.algebra, f) == b1.algebra
 

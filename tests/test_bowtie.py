@@ -85,6 +85,16 @@ def test_factor_recovery():
         factor(d2, "left")
 
 
+def test_factor_keeps_its_block_of_basis_names():
+    dk = bowtie(dual_numbers(F3), kpow(F3, 2))
+    named = BaricAlgebra(Algebra(F3, 4, dk.algebra.table, ["1", "x", "a", "b"]), dk.weight, dk.provenance)
+    left, right = factors(named)
+    assert left.algebra.basis_names == ("1", "x") and right.algebra.basis_names == ("a", "b")
+    assert left == dual_numbers(F3)
+    assert (right.algebra, right.weight) == (kpow(F3, 2).algebra, kpow(F3, 2).weight)
+    assert factor(dk, "left").algebra.basis_names is None
+
+
 def test_embed_examples():
     k2 = kpow(Q, 2)
     assert embed(k2, "left", kpow(Q, 1).element([1])).coords == k2.element([1, 0]).coords
@@ -112,6 +122,14 @@ def test_project_examples():
     assert project(dd, "right", span_of(Q, 4, [])).is_zero
     k2 = kpow(Q, 2)
     assert project(k2, "left", k2.kernel()) == span_of(Q, 1, [[1]])
+
+
+def test_project_refusals():
+    dd = bowtie(dual_numbers(F3), dual_numbers(F3))
+    with pytest.raises(DimensionMismatch):
+        project(dd, "left", Subspace.full(F3, 3))
+    with pytest.raises(FieldMismatch):
+        project(dd, "left", span_of(Q, 4, [[1, 0, 0, 0]]))
 
 
 def test_commutator_closed_form_matches_direct():

@@ -62,6 +62,18 @@ def test_prime_arithmetic_examples():
     assert F5.one / three == F5.element(brute)
 
 
+@pytest.mark.parametrize("field", [Q, F5, F4099])
+def test_powers_with_negative_exponents_and_a_zero_base(field):
+    two = field.element(2)
+    half = field.one / two
+    assert two ** 0 == field.one and two ** 3 == field.element(8)
+    assert two ** -1 == half and two ** -3 == half * half * half
+    assert two ** -3 * two ** 3 == field.one
+    assert field.zero ** 0 == field.one and field.zero ** 2 == field.zero
+    with pytest.raises(DivisionByZero):
+        field.zero ** -1
+
+
 def test_division_errors():
     with pytest.raises(DivisionByZero):
         Q.one / Q.zero
@@ -188,12 +200,15 @@ def test_prime_needs_an_integer_modulus():
 
 
 def _assert_canonical(x):
-    """Raw values are residues in [0, p) over F_p and Fractions over Q, as the coords hold them."""
-    p = x.algebra.field.p
-    if p is None:
+    """Raw values of an Element or a Weight are residues in [0, p) over F_p and
+    Fractions over Q, and its coords are their FieldElement view."""
+    field = x.field if isinstance(x, Weight) else x.algebra.field
+    if field.p is None:
         assert all(type(v) is Fraction for v in x.values)
     else:
-        assert all(type(v) is int and 0 <= v < p for v in x.values)
+        assert all(type(v) is int and 0 <= v < field.p for v in x.values)
+    assert type(x.values) is tuple
+    assert x.coords == field.wrap(x.values)
     assert x.values == tuple(c.value for c in x.coords)
 
 
@@ -229,6 +244,38 @@ def test_element_arithmetic_on_raw_values_matches_fieldelement_ops(operands):
         _assert_canonical(got)
     _assert_canonical(x * y)
     assert (x - x).is_zero and x - x == a.zero()
+
+
+@st.composite
+def raw_vectors(draw):
+    """A field and a nonempty list of raw values over it, not necessarily canonical."""
+    field = draw(st.sampled_from([F2, F3, F4099, Q]))
+    if field.p is None:
+        raw = st.one_of(st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=9))
+    else:
+        raw = st.integers(-3 * field.p, 3 * field.p)
+    return field, draw(st.lists(raw, min_size=1, max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_vectors())
+def test_elements_and_weights_store_canonical_values(case):
+    field, raw = case
+    n = len(raw)
+    a = kpow(field, n).algebra
+    x = Element._raw(a, raw)
+    assert x == a.element(raw) and hash(x) == hash(a.element(raw))
+    for y in (x, a.basis_element(n - 1), a.zero()):
+        _assert_canonical(y)
+    weights = [
+        Weight(field, raw),
+        Weight(field, [str(v) for v in raw]),
+        Weight(field, [field.element(v) for v in raw]),
+    ]
+    for w in weights:
+        _assert_canonical(w)
+        assert w == weights[0] and hash(w) == hash(weights[0])
+    assert weights[0].is_nonzero == any(x.values)
 
 
 def test_scaled_checks_its_scalar():

@@ -127,6 +127,40 @@ def test_provenance_round_trip_and_validation():
         assert io.document_to_algebra(doc).dim == 4, name
 
 
+SQUARE_WITH_PROVENANCE = dict(FIELD_SQUARE_DOC, provenance={"bowtie": {"left": 1, "right": 1}})
+F3_LINE = {"field": {"kind": "prime", "p": 3}, "ambient_dim": 2, "vectors": [["1", "0"]]}
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, field="q")), "field: expected an object"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, field={"kind": "prime", "p": "5"})), "integer 'p'"),
+    ("algebra", "[]", "document root must be an object"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, basis=[1, 2])), "basis: expected an array of strings"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, basis=["1"])), "basis: expected 2 names, got 1"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, mul={})), "mul: expected an array"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, mul=[[0, 0, 0]])), r"mul\[0\]: expected \[i, j, k, coeff\]"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, mul=[[0, 0, 0, 1]])), r"mul\[0\]: coefficient must be a string"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, mul=[[0, 0, 0, "x"]])), r"mul\[0\]: bad scalar literal"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, weight=["1"])), "weight: expected an array of 2"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, weight=[1, "1"])), r"weight\[0\]: coefficient must be a string"),
+    ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, provenance={"bowtie": 1})), "provenance: expected"),
+    (
+        "algebra",
+        json.dumps(dict(SQUARE_WITH_PROVENANCE, provenance={"bowtie": {"left": 1, "right": 2}})),
+        "blocks 1\\+2 do not sum to dim 2",
+    ),
+    ("subspace", "[]", "subspace document root must be an object"),
+    ("subspace", json.dumps(dict(F3_LINE, vectors={})), "vectors: expected an array"),
+    ("subspace", json.dumps(dict(F3_LINE, vectors=[["1"]])), r"vectors\[0\]: expected 2 coefficient strings"),
+    ("subspace", "{", "invalid JSON"),
+])
+def test_malformed_documents_are_parse_errors(tmp_path, loader, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=message):
+        (io.load if loader == "algebra" else io.load_subspace)(path)
+
+
 def test_save_load_save_is_byte_identical(tmp_path):
     cases = [
         kpow(Q, 3),
@@ -224,6 +258,30 @@ def test_cli_ideal_and_project(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "left_dim=1 left_is_ideal=true" in text
     assert "right_dim=0 right_is_ideal=true" in text
+
+
+def test_cli_project_of_an_ideal_with_a_right_block(tmp_path, capsys):
+    bow = tmp_path / "dd.json"
+    io.save(bowtie(dual_numbers(F2), dual_numbers(F2)), bow)
+    ideal = tmp_path / "ideal.json"
+    assert main(["ideal", str(bow), "--gens", "0,1,0,1", "-o", str(ideal)]) == 0
+    capsys.readouterr()
+    assert main(["project", str(bow), "--ideal", str(ideal)]) == 0
+    assert capsys.readouterr().out == (
+        "left_dim=1 left_is_ideal=true\n"
+        "left_vector=0,1\n"
+        "right_dim=1 right_is_ideal=true\n"
+        "right_vector=0,1\n"
+    )
+
+
+def test_cli_project_refuses_a_subspace_that_is_no_ideal(tmp_path, capsys):
+    bow = tmp_path / "dd.json"
+    io.save(bowtie(dual_numbers(F2), dual_numbers(F2)), bow)
+    sub = tmp_path / "s.json"
+    io.save_subspace(span_of(F2, 4, [[1, 0, 0, 0]]), sub)
+    assert main(["project", str(bow), "--ideal", str(sub)]) == 1
+    assert capsys.readouterr().out == "error=NotAnIdeal sided=none\n"
 
 
 def test_cli_project_requires_bowtie(tmp_path, capsys):
@@ -358,6 +416,14 @@ def test_cli_verify_refuses_maxdim_below_one(maxdim, capsys):
     assert captured.out == ""
     assert "error=ValueError" in captured.err and "--maxdim" in captured.err
     assert main(["verify", "--props", "L3.1", "--trials", "1", "--maxdim", "1"]) == 0
+
+
+@pytest.mark.parametrize("option", [["--cap", "-1"], ["--field", "q"]])
+def test_cli_verify_refuses_a_bad_option_before_the_first_run(option, capsys):
+    assert main(["verify", "--trials", "1", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error=ValueError" in captured.err
 
 
 def test_cli_negative_cap_is_a_usage_error(tmp_path, capsys):
