@@ -92,13 +92,19 @@ def factors(b: BaricAlgebra) -> tuple[BaricAlgebra, BaricAlgebra]:
 
 
 def embed(b: BaricAlgebra, side: str, x) -> Element:
-    """Block-extend a factor element into the product algebra."""
+    """Block-extend a factor element or coordinate row into the product algebra.
+
+    A wrong length raises DimensionMismatch. An Element over the product's field
+    is zero-padded on its stored values; anything else goes through b.element,
+    which refuses an element of another field (FieldMismatch).
+    """
     lo, size = _block(b, side)
-    coords = x.coords if isinstance(x, Element) else tuple(x)
+    raw = isinstance(x, Element) and x.algebra.field is b.field
+    coords = x.values if raw else x.coords if isinstance(x, Element) else tuple(x)
     if len(coords) != size:
         raise DimensionMismatch(f"{side} factor has dimension {size}")
-    zero = b.field.zero
-    return b.element((zero,) * lo + tuple(coords) + (zero,) * (b.dim - lo - size))
+    padded = (0,) * lo + coords + (0,) * (b.dim - lo - size)
+    return Element._raw(b.algebra, padded) if raw else b.element(padded)
 
 
 def project(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:

@@ -134,7 +134,7 @@ def _cmd_ideal(args) -> int:
     ideal = ideal_closure(b.algebra, gens, side)
     print(f"dim={ideal.space.dim}")
     print(f"sided={ideal.sided.value}")
-    for row in ideal.space.basis:
+    for row in ideal.space.rows:
         print(f"vector={_coords_text(row)}")
     if args.output:
         io.save_subspace(ideal.space, args.output)
@@ -151,10 +151,10 @@ def _cmd_project(args) -> int:
         return 1
     result = project_ideal(b, Ideal(space, label))
     print(f"left_dim={result.left.dim} left_is_ideal={_bool(result.left_is_ideal)}")
-    for row in result.left.basis:
+    for row in result.left.rows:
         print(f"left_vector={_coords_text(row)}")
     print(f"right_dim={result.right.dim} right_is_ideal={_bool(result.right_is_ideal)}")
-    for row in result.right.basis:
+    for row in result.right.rows:
         print(f"right_vector={_coords_text(row)}")
     return 0
 
@@ -180,9 +180,9 @@ def _cmd_decompose(args) -> int:
     if result.idempotent is not None:
         print(f"idempotent={_coords_text(result.idempotent.values)}")
     if result.n1 is not None:
-        for row in result.n1.basis:
+        for row in result.n1.rows:
             print(f"n1_vector={_coords_text(row)}")
-        for row in result.n2.basis:
+        for row in result.n2.rows:
             print(f"n2_vector={_coords_text(row)}")
     return 0
 

@@ -4,7 +4,8 @@ Rational values are reduced fractions with positive denominator; prime
 field values are residues in [0, p). Canonical forms are unique, so
 ``==`` is exact mathematical equality and no tolerances appear anywhere.
 Elements of small prime fields are interned, so FieldElement views cost
-no allocation and their equality tests mostly end at the identity check.
+no allocation and their equality tests mostly end at the identity check;
+over such a field `wrap` makes one pass, a table lookup of v % p per value.
 
 Every kernel in `fields`, `linalg`, `algebra` and `weights` takes raw values.
 `FieldSpec.unwrap` is the one door from caller-supplied FieldElements to
@@ -133,10 +134,10 @@ class FieldSpec:
         return tuple([v % p for v in values])
 
     def wrap(self, values) -> tuple["FieldElement", ...]:
-        """FieldElements for raw values, through their canonical form."""
-        table = self._table
+        """FieldElements for raw values: interned ones by residue (as in _make), others via canon."""
+        table, p = self._table, self.p
         if table is not None:
-            return tuple([table[v] for v in self.canon(values)])
+            return tuple([table[v % p] for v in values])
         zero = self.zero
         return tuple([FieldElement._raw(self, v) if v else zero for v in self.canon(values)])
 
@@ -270,4 +271,4 @@ def parse_scalar(text: str, field: FieldSpec) -> FieldElement:
         return FieldElement._raw(field, Fraction(num, den))
     if den % field.p == 0:
         raise DivisionByZero(f"denominator of {text!r} is zero mod {field.p}")
-    return field.element(num) / field.element(den)
+    return field.element(Fraction(num, den))

@@ -108,7 +108,7 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
             for left in sides:
                 w = field.wrap(a.times_basis(v, j, left))
                 if not current.contains_vector(w):
-                    current = span(field, a.dim, current.basis + (w,))
+                    current = current + span(field, a.dim, [w])
                     pending.append([x.value for x in w])
     # the loop closed current under the requested sides; only a right
     # closure can still be two-sided

@@ -179,7 +179,7 @@ def subspace_to_document(s: Subspace) -> dict:
     return {
         "field": _field_to_json(s.field),
         "ambient_dim": s.ambient_dim,
-        "vectors": [[str(x) for x in row] for row in s.basis],
+        "vectors": [[str(x) for x in row] for row in s.rows],
     }
 
 

@@ -238,9 +238,9 @@ def _dim(rng: random.Random, cfg: RunConfig, lo: int, hi: int) -> int:
 
 
 def _random_element(rng: random.Random, b: BaricAlgebra) -> Element:
-    if b.field.is_finite:
-        return b.element([rng.randrange(b.field.p) for _ in range(b.dim)])
-    return b.element([rng.randint(-3, 3) for _ in range(b.dim)])
+    p = b.field.p
+    draws = [rng.randrange(p) if p else rng.randint(-3, 3) for _ in range(b.dim)]
+    return Element._raw(b.algebra, draws)
 
 
 def _random_pair(rng, cfg, field, lo=1, hi=3, **flags):
@@ -302,7 +302,7 @@ def _check_p32(rng, t, cfg):
     tmat = _random_invertible(rng, field, b1.dim)
     moved = BaricAlgebra(
         change_basis(b1.algebra, tmat),
-        Weight(field, [b1.weight(row) for row in tmat.rows]),
+        Weight(field, [b1.weight.at(v) for v in tmat.values]),
     )
     f = tmat.inverse()
     _, ok = transport_iso(f, b1, moved, b2)
@@ -465,7 +465,7 @@ def _check_closed_form(rng, cfg, name, direct, closed_form, labels):
     index_tuples.append(tuple(range(n, n + arity)))
     for indices in index_tuples:
         args = [elements[i] for i in indices]
-        if direct(*args).coords != closed_form(b1, b2, *[parts[i] for i in indices]):
+        if direct(*args) != Element(bow.algebra, closed_form(b1, b2, *[parts[i] for i in indices])):
             at = " ".join(f"{label}={x!r}" for label, x in zip(labels, args))
             raise CheckFailure(f"{name} closed form disagrees at {at}", b1, b2)
 
@@ -527,15 +527,14 @@ def _check_l62(rng, t, cfg):
             shuffled[0] = 1
         b = scalar_action(FieldSpec.rationals(), shuffled)
     normalized, tmat = normalize_weight_one_basis(b)
-    one = b.field.one
-    if any(w != one for w in normalized.weight.coords):
+    if normalized.weight != Weight.ones(b.field, n):
         raise CheckFailure(f"normalized weight is not all ones: {normalized.weight!r}")
     if not tmat.is_invertible:
         raise CheckFailure("basis change matrix is singular")
     # read the new basis back in b: each row t_i has weight one, and
     # t_i t_j = sum_k c'[i,j,k] t_k for the returned constants c'
-    basis = [Element(b.algebra, row) for row in tmat.rows]
-    if any(b.weight(t) != one for t in basis):
+    basis = [Element._raw(b.algebra, v) for v in tmat.values]
+    if any(b.weight(t) != b.field.one for t in basis):
         raise CheckFailure("a new basis vector does not have weight one in the algebra")
     zero, products = b.algebra.zero(), {}
     for (i, j, k), c in normalized.algebra.table.items():
@@ -555,20 +554,24 @@ def _rand_rational_weights(rng, n):
     return coords
 
 
+def _check_classified(b, n, *factors):
+    """b classifies onto K^n through a verified map; a failure carries the factors if given."""
+    result = classify_scalar_action(b)
+    if result is None:
+        raise CheckFailure(f"scalar-action algebra not recognized: {b!r}", *factors)
+    iso, target = result
+    if target != kpow(b.field, n):
+        raise CheckFailure(f"classification target is not the field power: {target!r}", *factors)
+    if not baric_isomorphic_by(iso, b, target):
+        raise CheckFailure("classification map failed verification", *factors)
+
+
 def _check_p63(rng, t, cfg):
     field = FieldSpec.rationals()
     if t == 0 and classify_scalar_action(dual_numbers(field)) is not None:
         raise CheckFailure("dual numbers wrongly classified as scalar-action")
     n = _dim(rng, cfg, 1, 4)
-    b = scalar_action(field, _rand_rational_weights(rng, n))
-    result = classify_scalar_action(b)
-    if result is None:
-        raise CheckFailure(f"scalar-action algebra not recognized: {b!r}")
-    iso, target = result
-    if target != kpow(field, n):
-        raise CheckFailure(f"classification target is not the field power: {target!r}")
-    if not baric_isomorphic_by(iso, b, target):
-        raise CheckFailure("classification map failed verification")
+    _check_classified(scalar_action(field, _rand_rational_weights(rng, n)), n)
 
 
 def _check_c61(rng, t, cfg):
@@ -584,14 +587,7 @@ def _check_c61(rng, t, cfg):
     bow = bowtie(b1, b2)
     if not property_flags(bow.algebra).associative:
         raise CheckFailure("product of scalar-action factors is not associative", b1, b2)
-    result = classify_scalar_action(bow)
-    if result is None:
-        raise CheckFailure("associative product not recognized as scalar-action")
-    iso, target = result
-    if target != kpow(field, n1 + n2):
-        raise CheckFailure("classification target has the wrong dimension")
-    if not baric_isomorphic_by(iso, bow, target):
-        raise CheckFailure("classification map failed verification")
+    _check_classified(bow, n1 + n2, b1, b2)
     ident = Matrix.identity(field, n1 + n2)
     combined = bowtie(kpow(field, n1), kpow(field, n2))
     if not baric_isomorphic_by(ident, combined, kpow(field, n1 + n2)):
@@ -650,10 +646,7 @@ def _check_ex61(rng, t, cfg):
     if iterated != power:
         raise CheckFailure(f"iterated product differs from the direct power at n={n}")
     x = _random_element(rng, power)
-    total = field.zero
-    for c in x.coords:
-        total = total + c
-    if power.weight(x) != total:
+    if power.weight(x) != field.element(sum(x.values)):
         raise CheckFailure("power weight is not the coordinate sum")
 
 

@@ -44,6 +44,7 @@ from baric import (
 from baric.bowtie import embed_subspace
 from baric.weights import BaricAlgebra
 from baric.catalog import dual_numbers, scalar_action
+from test_fields import _assert_canonical
 from test_lattice_primitives import _random_vectors, reference_product
 
 Q = FieldSpec.rationals()
@@ -442,6 +443,35 @@ def test_raw_kernels_match_field_element_references(pair):
             b1, b2, cx, cy, cz
         )
         assert bow.weight(x) == _ref_weight(bow.weight, x.coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3, Q]), st.integers(1, 3), st.integers(1, 3), st.integers(0, 10_000))
+def test_embed_of_an_element_matches_its_padded_coordinates(field, d1, d2, seed):
+    """embed pads an Element's stored values; the result is the element of the
+    zero-padded coordinates, as embed of the coordinate row gives it."""
+    b1, b2 = _baric_factor(field, d1, seed), _baric_factor(field, d2, seed + 1)
+    bow = bowtie(b1, b2)
+    rng = random.Random(seed)
+    x = b1.element(_draw_coords(rng, field, d1))
+    y = b2.element(_draw_coords(rng, field, d2))
+    zero = (field.zero,)
+    for side, e, lo in (("left", x, 0), ("right", y, d1)):
+        image = embed(bow, side, e)
+        _assert_canonical(image)
+        assert image == embed(bow, side, e.coords)
+        assert image == bow.element(zero * lo + e.coords + zero * (bow.dim - lo - e.algebra.dim))
+    assert split_element(b1, b2, embed(bow, "left", x) + embed(bow, "right", y)) == (x, y)
+
+
+def test_embed_refuses_an_element_of_another_field():
+    dd = bowtie(dual_numbers(F3), dual_numbers(F3))
+    with pytest.raises(FieldMismatch):
+        embed(dd, "left", dual_numbers(Q).element([1, 1]))
+    with pytest.raises(FieldMismatch):
+        embed(dd, "right", [F2.one, F2.zero])
+    with pytest.raises(DimensionMismatch):
+        embed(dd, "right", kpow(Q, 1).element([1]))
 
 
 @st.composite

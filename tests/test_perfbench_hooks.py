@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import baric
 from baric.fields import FieldElement
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,6 +48,12 @@ def test_traced_paths_resolve():
             assert hasattr(owner, attr), f"baric.{module_name}.{path}"
             owner = getattr(owner, attr)
         assert callable(owner), f"baric.{module_name}.{path}"
+
+
+def test_the_verify_workload_runs_every_check():
+    """The verify workload builds one job per id in metrics.PROPOSITION_IDS, so a
+    check missing there would never be benchmarked or traced."""
+    assert METRICS.PROPOSITION_IDS == baric.PROPOSITION_IDS
 
 
 def test_counted_field_operations_resolve():
