@@ -198,7 +198,8 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra == other.algebra and self.values == other.values
+        a, b = self.algebra, other.algebra
+        return (a is b or a == b) and self.values == other.values
 
     def __hash__(self) -> int:
         return hash(self.values)
@@ -290,8 +291,8 @@ def _find_unit(a: Algebra) -> Element | None:
     if any(b and not any(row) for row, b in system):
         return None
     system = [(row, b) for row, b in system if any(row)]
-    wrap = a.field.wrap
-    sol = solve(Matrix(a.field, [wrap(row) for row, _ in system], n), wrap([b for _, b in system]))
+    field = a.field
+    sol = solve(Matrix._raw(field, [row for row, _ in system], n), field.wrap([b for _, b in system]))
     if sol is None:
         return None
     return Element(a, sol)
@@ -337,7 +338,7 @@ def commutative_center(a: Algebra) -> Subspace:
     for (i, j, k), c in a.entries():
         rows[j * n + k][i] += c  # (x e_j - e_j x)_k gets x_i (c[i,j,k] - c[j,i,k])
         rows[i * n + k][j] -= c
-    basis = kernel_basis(Matrix(a.field, [a.field.wrap(r) for r in rows], n))
+    basis = kernel_basis(Matrix._raw(a.field, rows, n))
     return span(a.field, n, basis)
 
 
@@ -351,10 +352,11 @@ def change_basis(a: Algebra, t: Matrix) -> Algebra:
         tinv = t.inverse()
     except SingularTransform:
         raise SingularTransform("basis change matrix is singular") from None
+    rows = t.rows
     table: dict[tuple[int, int, int], FieldElement] = {}
     for i in range(a.dim):
         for j in range(a.dim):
-            prod_old = a.product_coords(t.rows[i], t.rows[j])
+            prod_old = a.product_coords(rows[i], rows[j])
             prod_new = row_times_matrix(prod_old, tinv)
             for k, v in enumerate(prod_new):
                 if v:

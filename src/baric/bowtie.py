@@ -253,8 +253,8 @@ class StructuralIsos:
 def swap_matrix(b1: BaricAlgebra, b2: BaricAlgebra) -> Matrix:
     """Matrix of (a1, a2) -> (a2, a1) from b1|b2 to b2|b1 coordinates."""
     n = b1.dim + b2.dim
-    ident = Matrix.identity(b1.field, n).rows
-    return Matrix(b1.field, ident[b2.dim :] + ident[: b2.dim], n)
+    ident = Matrix.identity(b1.field, n).values
+    return Matrix._raw(b1.field, ident[b2.dim :] + ident[: b2.dim], n)
 
 
 def structural_isos(
@@ -291,9 +291,10 @@ def transport_iso(
     if not baric_isomorphic_by(f, src, dst):
         raise NotWeightPreserving("f is not a weight-preserving isomorphism")
     n = src.dim + other.dim
-    ident = Matrix.identity(src.field, n).rows
-    padding = (src.field.zero,) * other.dim
-    extended = Matrix(src.field, [r + padding for r in f.rows] + list(ident[src.dim :]), n)
+    # f is over src.field here: baric_isomorphic_by refuses a map over another field
+    ident = Matrix.identity(src.field, n).values
+    padding = (src.field.zero.value,) * other.dim
+    extended = Matrix._raw(src.field, [r + padding for r in f.values] + list(ident[src.dim :]), n)
     ok = baric_isomorphic_by(extended, bowtie(src, other), bowtie(dst, other))
     return extended, ok
 

@@ -195,7 +195,7 @@ def _cmd_classify(args) -> int:
         return 0
     iso, target = result
     print(f"scalar_action=true target_dim={target.dim}")
-    for row in iso.rows:
+    for row in iso.values:
         print(f"iso_row={_coords_text(row)}")
     print(f"verified={_bool(baric_isomorphic_by(iso, b, target))}")
     return 0
@@ -216,7 +216,7 @@ def _cmd_verify(args) -> int:
     field = FieldSpec.from_token(args.field) if args.field else None
     if field is not None and not field.is_finite:
         raise ValueError("verify needs a prime field token like p3")
-    cfg = RunConfig(field=field, max_dim=args.maxdim, cap=enumeration_cap(args.cap))
+    cfg = RunConfig(field=field, max_dim=args.maxdim, cap=args.cap)
     all_pass = True
     for pid in ids:
         report = check(pid, args.trials, args.seed, cfg)
@@ -312,6 +312,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", None) is not None:
+            enumeration_cap(args.cap)  # a negative cap is a usage error before any work
         return args.func(args)
     except (*_USAGE_ERRORS, BaricError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over a FieldSpec.
 
-Matrices are immutable tuples of rows of FieldElements. Every entry point
-that takes FieldElements (Matrix, span, solve, row_times_matrix,
-Subspace.contains_vector) checks them through FieldSpec.unwrap, the one
-door to raw values, and every kernel computes on raw values (residues in
-[0, p) over F_p, Fractions over Q); FieldSpec.wrap turns results back
+Matrices are immutable, stored once as raw rows with FieldElement `rows`
+as a view. Every entry point that takes FieldElements (Matrix, span,
+solve, row_times_matrix, Subspace.contains_vector) checks them through
+FieldSpec.unwrap, the one door to raw values; every kernel computes on
+raw values (residues in [0, p) over F_p, Fractions over Q), Matrix._raw
+builds the matrices they compute, and FieldSpec.wrap turns results back
 into FieldElements. Subspaces are stored by their reduced row-echelon
 rows as raw values, with zero rows removed, and the pivot column of each
 row. That is a canonical form: two subspaces are equal exactly when their
@@ -54,9 +55,13 @@ def _coerce_row(field: FieldSpec, row: Sequence) -> Row:
 
 
 class Matrix:
-    """Immutable dense matrix; `values` are its `rows` as raw values, via FieldSpec.unwrap."""
+    """Immutable dense matrix stored once, as `values`: a tuple of canonical raw rows.
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "values")
+    `rows` is their FieldElement view. Matrix(...) checks caller rows through
+    FieldSpec.unwrap; Matrix._raw builds the matrices the library computes.
+    """
+
+    __slots__ = ("field", "ncols", "values")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Sequence], ncols: int | None = None):
         rows = tuple(tuple(r) for r in rows)
@@ -67,9 +72,17 @@ class Matrix:
         unwrap = field.unwrap
         self.values = tuple([unwrap(r, ncols) for r in rows])
         self.field = field
-        self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = rows
+
+    @classmethod
+    def _raw(cls, field: FieldSpec, rows: Iterable[Sequence], ncols: int) -> "Matrix":
+        """The matrix with raw rows of ncols values computed by the library, made canonical."""
+        self = object.__new__(cls)
+        canon = field.canon
+        self.values = tuple([canon(r) for r in rows])
+        self.field = field
+        self.ncols = ncols
+        return self
 
     @classmethod
     def of(cls, field: FieldSpec, rows: Iterable[Sequence], ncols: int | None = None) -> "Matrix":
@@ -78,16 +91,28 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [tuple(one if i == j else zero for j in range(n)) for i in range(n)], n)
+        one, zero = field.one.value, field.zero.value
+        return cls._raw(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.values)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows as FieldElements, wrapped on each access."""
+        wrap = self.field.wrap
+        return tuple([wrap(r) for r in self.values])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else (), self.nrows)
+        # with no rows, zip has nothing to pair: the transpose is ncols empty rows
+        columns = zip(*self.values) if self.values else [()] * self.ncols
+        return Matrix._raw(self.field, columns, self.nrows)
 
     def rref(self) -> "Matrix":
         """Reduced row-echelon form, zero rows kept at the bottom."""
         rows, _ = _rref(self.field, self.values, self.ncols)
-        return Matrix(self.field, [self.field.wrap(r) for r in rows], self.ncols)
+        return Matrix._raw(self.field, rows, self.ncols)
 
     def rank(self) -> int:
         _, pivots = _rref(self.field, self.values, self.ncols)
@@ -107,7 +132,7 @@ class Matrix:
         reduced, pivots = _rref(self.field, aug, 2 * n)
         if pivots != list(range(n)):
             raise SingularTransform("matrix is singular")
-        return Matrix(self.field, [self.field.wrap(r[n:]) for r in reduced[:n]], n)
+        return Matrix._raw(self.field, [r[n:] for r in reduced[:n]], n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -115,14 +140,14 @@ class Matrix:
         return (
             self.field is other.field
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.values == other.values
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.ncols, self.rows))
+        return hash((self.field.p, self.ncols, self.values))
 
     def __repr__(self) -> str:
-        body = "; ".join(",".join(str(x) for x in r) for r in self.rows)
+        body = "; ".join(",".join(str(x) for x in r) for r in self.values)
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
 
 
@@ -243,7 +268,7 @@ class Subspace:
         return not self.rows
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis, self.ambient_dim)
+        return Matrix._raw(self.field, self.rows, self.ambient_dim)
 
     @classmethod
     def zero_space(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -251,7 +276,9 @@ class Subspace:
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return span(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
+        # identity rows are already RREF, with the pivots on the diagonal
+        n = ambient_dim
+        return cls(field, n, Matrix.identity(field, n).values, tuple(range(n)))
 
     def contains_vector(self, v: Sequence[FieldElement]) -> bool:
         return not any(raw_residue(self, self.field.unwrap(v, self.ambient_dim)))
@@ -270,7 +297,7 @@ class Subspace:
         """Intersection via the left kernel of the stacked bases."""
         self._check(other)
         basis, k = self.basis_matrix(), self.dim
-        stacked = Matrix(self.field, basis.rows + other.basis, self.ambient_dim)
+        stacked = Matrix._raw(self.field, self.rows + other.rows, self.ambient_dim)
         vectors = [row_times_matrix(w[:k], basis) for w in kernel_basis(stacked.transpose())]
         return span(self.field, self.ambient_dim, vectors)
 

@@ -134,7 +134,7 @@ class BaricAlgebra:
 
     def kernel(self) -> Subspace:
         """Ker w as a canonical subspace (codimension one)."""
-        rows = Matrix(self.field, [self.weight.coords], self.dim)
+        rows = Matrix._raw(self.field, [self.weight.values], self.dim)
         return span(self.field, self.dim, kernel_basis(rows))
 
     def __eq__(self, other) -> bool:
@@ -291,15 +291,18 @@ def baric_isomorphic_by(f: Matrix, b1: BaricAlgebra, b2: BaricAlgebra) -> bool:
     True iff f is invertible, the target weight pulls back to the source
     weight on every basis vector, and the target algebra written in the
     basis of the rows of f (change_basis) has the source's structure
-    constants, i.e. f is multiplicative on all basis pairs.
+    constants, i.e. f is multiplicative on all basis pairs. An invertible f over
+    another field than b2 raises FieldMismatch.
     """
     if f.nrows != b1.dim or f.ncols != b2.dim:
         raise DimensionMismatch("map matrix must be dim(source) x dim(target)")
     if f.nrows != f.ncols or not f.is_invertible:
         return False
-    for row, wi in zip(f.rows, b1.weight.coords):
-        if b2.weight(row) != wi:
-            return False
+    if f.field is not b2.field:
+        raise FieldMismatch(f"{b2.field!r} vs {f.field!r}")
+    # the pull-back w2(e_i @ f) on raw values; b1 over another field fails below if not here
+    if b2.field.canon([b2.weight.at(row) for row in f.values]) != b1.weight.values:
+        return False
     return change_basis(b2.algebra, f) == b1.algebra
 
 

@@ -187,6 +187,15 @@ def test_algebra_validation():
     assert (0, 0, 0) not in a.table and (0, 1, 1) in a.table
 
 
+def test_element_equality_compares_algebras_by_value():
+    a, twin = (Algebra(F2, 2, {(0, 0, 0): 1, (0, 1, 1): 1}) for _ in range(2))
+    assert a is not twin and a == twin
+    assert a.element([1, 1]) == twin.element([1, 1])
+    other = Algebra(F2, 2, {(0, 0, 0): 1})
+    assert a.element([1, 1]) != other.element([1, 1])
+    assert a.element([1, 1]) != a.element([1, 0])
+
+
 def test_element_errors():
     d2 = dual_numbers(Q)
     k2 = kpow(Q, 2)

@@ -200,16 +200,28 @@ def test_prime_needs_an_integer_modulus():
 
 
 def _assert_canonical(x):
-    """Raw values of an Element or a Weight are residues in [0, p) over F_p and
-    Fractions over Q, and its coords are their FieldElement view."""
+    """Raw values of an Element, a Weight or each row of a Matrix are residues in
+    [0, p) over F_p and Fractions over Q, and its coords (a Matrix's rows) are
+    their FieldElement view."""
+    if isinstance(x, Matrix):
+        assert type(x.values) is tuple and len(x.values) == x.nrows
+        for row, values in zip(x.rows, x.values):
+            assert len(values) == x.ncols
+            _assert_canonical_values(x.field, values, row)
+        assert x.rows == tuple(x.field.wrap(r) for r in x.values)
+        return
     field = x.field if isinstance(x, Weight) else x.algebra.field
+    _assert_canonical_values(field, x.values, x.coords)
+
+
+def _assert_canonical_values(field, values, coords):
     if field.p is None:
-        assert all(type(v) is Fraction for v in x.values)
+        assert all(type(v) is Fraction for v in values)
     else:
-        assert all(type(v) is int and 0 <= v < field.p for v in x.values)
-    assert type(x.values) is tuple
-    assert x.coords == field.wrap(x.values)
-    assert x.values == tuple(c.value for c in x.coords)
+        assert all(type(v) is int and 0 <= v < field.p for v in values)
+    assert type(values) is tuple
+    assert coords == field.wrap(values)
+    assert values == tuple(c.value for c in coords)
 
 
 @st.composite
@@ -276,6 +288,28 @@ def test_elements_and_weights_store_canonical_values(case):
         _assert_canonical(w)
         assert w == weights[0] and hash(w) == hash(weights[0])
     assert weights[0].is_nonzero == any(x.values)
+    # one row, the identity and an invertible diagonal matrix, each built every way
+    d = [field.element(v or 1) for v in x.values]
+
+    def diagonal(entries):
+        return [[c if i == j else 0 for j in range(n)] for i, c in enumerate(entries)]
+
+    ident, m = Matrix.identity(field, n), Matrix.of(field, diagonal(d))
+    for matrices in [
+        [Matrix.of(field, [raw]), Matrix(field, [x.coords]), Matrix.of(field, [raw]).transpose().transpose()],
+        [
+            ident,
+            Matrix.of(field, diagonal([1] * n)),
+            Matrix(field, [a.basis_element(i).coords for i in range(n)]),
+            m.rref(),
+            ident.inverse(),
+            ident.transpose().transpose(),
+        ],
+        [m, Matrix.of(field, diagonal([c.inverse() for c in d])).inverse(), m.transpose().transpose()],
+    ]:
+        for mat in matrices:
+            _assert_canonical(mat)
+            assert mat == matrices[0] and hash(mat) == hash(matrices[0])
 
 
 def test_scaled_checks_its_scalar():

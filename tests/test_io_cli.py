@@ -431,6 +431,13 @@ def test_cli_negative_cap_is_a_usage_error(tmp_path, capsys):
     io.save(kpow(F2, 3), path)
     assert main(["weights", str(path), "--cap", "-1"]) == 2
     assert "error=ValueError" in capsys.readouterr().err
+    # over Q these commands scan nothing, but a negative cap is still refused
+    q_path = tmp_path / "q3.json"
+    io.save(kpow(Q, 3), q_path)
+    for command in ("weights", "idempotents", "decompose"):
+        assert main([command, str(q_path), "--cap", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error=ValueError" in err
     # 0 still refuses any scan
     assert main(["weights", str(path), "--cap", "0"]) == 1
     assert "error=EnumerationTooLarge" in capsys.readouterr().err

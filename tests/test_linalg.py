@@ -136,6 +136,17 @@ def test_matrix_inverse_and_solve():
     assert solve(Matrix.of(Q, [[1, 1], [1, 1]]), [Q.element(0), Q.element(1)]) is None
 
 
+def test_transpose_of_a_matrix_with_no_rows():
+    empty = Matrix(F3, [], 3)
+    t = empty.transpose()
+    assert (t.nrows, t.ncols) == (3, 0)
+    assert t.rows == ((), (), ())
+    assert t.transpose() == empty
+    wide = Matrix.of(Q, [[1, 2, 3]])
+    assert (wide.transpose().nrows, wide.transpose().ncols) == (3, 1)
+    assert wide.transpose().transpose() == wide
+
+
 def test_kernel_basis():
     m = Matrix.of(Q, [[1, 1, 1]])
     basis = kernel_basis(m)

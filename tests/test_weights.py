@@ -169,6 +169,12 @@ def test_baric_isomorphic_by_examples():
     assert not baric_isomorphic_by(singular, k2, k2)
 
 
+def test_baric_isomorphic_by_refuses_a_map_over_another_field():
+    k2 = kpow(F3, 2)
+    with pytest.raises(FieldMismatch):
+        baric_isomorphic_by(Matrix.of(FieldSpec.prime(5), [[2, 0], [0, 1]]), k2, k2)
+
+
 def _oracle_isomorphic_by(f, b1, b2):
     """x -> x f is a weight-preserving isomorphism, tested on every element pair."""
     field, n = b1.field, b1.dim
