@@ -295,7 +295,7 @@ def _find_unit(a: Algebra) -> Element | None:
     sol = solve(Matrix._raw(field, [row for row, _ in system], n), field.wrap([b for _, b in system]))
     if sol is None:
         return None
-    return Element(a, sol)
+    return Element._raw(a, [c.value for c in sol])
 
 
 def property_flags(a: Algebra) -> PropertyFlags:

@@ -58,6 +58,11 @@ def _parse_vectors(text: str, field: FieldSpec, dim: int):
     return vectors
 
 
+def _print_rows(key: str, rows) -> None:
+    for row in rows:
+        print(f"{key}={_coords_text(row)}")
+
+
 def _bool(b: bool) -> str:
     return "true" if b else "false"
 
@@ -106,8 +111,7 @@ def _cmd_weights(args) -> int:
     b = io.load(args.file)
     if b.field.is_finite:
         found = enumerate_weights(b.algebra, args.cap)
-        for w in found:
-            print(f"weight={_coords_text(w.values)}")
+        _print_rows("weight", (w.values for w in found))
         print(f"count={len(found)}")
         stored = b.weight in found
         print(f"stored_weight_found={_bool(stored)}")
@@ -120,8 +124,7 @@ def _cmd_weights(args) -> int:
 def _cmd_idempotents(args) -> int:
     b = io.load(args.file)
     found = find_weight_one_idempotents(b, args.cap)
-    for x in found:
-        print(f"idempotent={_coords_text(x.values)}")
+    _print_rows("idempotent", (x.values for x in found))
     print(f"count={len(found)}")
     print(f"search={'exhaustive' if b.field.is_finite else 'heuristic'}")
     return 0
@@ -134,8 +137,7 @@ def _cmd_ideal(args) -> int:
     ideal = ideal_closure(b.algebra, gens, side)
     print(f"dim={ideal.space.dim}")
     print(f"sided={ideal.sided.value}")
-    for row in ideal.space.rows:
-        print(f"vector={_coords_text(row)}")
+    _print_rows("vector", ideal.space.rows)
     if args.output:
         io.save_subspace(ideal.space, args.output)
         print(f"written={args.output}")
@@ -151,11 +153,9 @@ def _cmd_project(args) -> int:
         return 1
     result = project_ideal(b, Ideal(space, label))
     print(f"left_dim={result.left.dim} left_is_ideal={_bool(result.left_is_ideal)}")
-    for row in result.left.rows:
-        print(f"left_vector={_coords_text(row)}")
+    _print_rows("left_vector", result.left.rows)
     print(f"right_dim={result.right.dim} right_is_ideal={_bool(result.right_is_ideal)}")
-    for row in result.right.rows:
-        print(f"right_vector={_coords_text(row)}")
+    _print_rows("right_vector", result.right.rows)
     return 0
 
 
@@ -180,10 +180,8 @@ def _cmd_decompose(args) -> int:
     if result.idempotent is not None:
         print(f"idempotent={_coords_text(result.idempotent.values)}")
     if result.n1 is not None:
-        for row in result.n1.rows:
-            print(f"n1_vector={_coords_text(row)}")
-        for row in result.n2.rows:
-            print(f"n2_vector={_coords_text(row)}")
+        _print_rows("n1_vector", result.n1.rows)
+        _print_rows("n2_vector", result.n2.rows)
     return 0
 
 
@@ -195,8 +193,7 @@ def _cmd_classify(args) -> int:
         return 0
     iso, target = result
     print(f"scalar_action=true target_dim={target.dim}")
-    for row in iso.values:
-        print(f"iso_row={_coords_text(row)}")
+    _print_rows("iso_row", iso.values)
     print(f"verified={_bool(baric_isomorphic_by(iso, b, target))}")
     return 0
 
@@ -237,64 +234,45 @@ _CAP_HELP = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `baric` parser; main runs the handler `_cmd_<command>`."""
     parser = argparse.ArgumentParser(
         prog="baric",
         description="Exact computations with finite-dimensional baric algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("file")
+    capped = argparse.ArgumentParser(add_help=False, parents=[document])
+    capped.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
 
-    p = sub.add_parser("check", help="validate a document and report its properties")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
+    sub.add_parser("check", parents=[document], help="validate a document and report its properties")
 
     p = sub.add_parser("bowtie", help="build the product of two algebra documents")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_bowtie)
 
     p = sub.add_parser("kpow", help="build the n-th power of the base field")
     p.add_argument("n", type=int)
     p.add_argument("--field", required=True, help="q for rationals, pP for a prime field")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_kpow)
 
-    p = sub.add_parser("weights", help="enumerate weights (prime field) or verify (rationals)")
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
-    p.set_defaults(func=_cmd_weights)
+    sub.add_parser("weights", parents=[capped], help="enumerate weights (prime field) or verify (rationals)")
+    sub.add_parser("idempotents", parents=[capped], help="search weight-one idempotents")
 
-    p = sub.add_parser("idempotents", help="search weight-one idempotents")
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
-    p.set_defaults(func=_cmd_idempotents)
-
-    p = sub.add_parser("ideal", help="ideal closure of generators")
-    p.add_argument("file")
+    p = sub.add_parser("ideal", parents=[document], help="ideal closure of generators")
     p.add_argument("--gens", required=True, help="semicolon-separated coordinate vectors")
     p.add_argument("--side", choices=("right", "two"), default="two")
     p.add_argument("-o", "--output", default=None, help="write the subspace as JSON")
-    p.set_defaults(func=_cmd_ideal)
 
-    p = sub.add_parser("project", help="project a product ideal onto the factors")
-    p.add_argument("file")
+    p = sub.add_parser("project", parents=[document], help="project a product ideal onto the factors")
     p.add_argument("--ideal", required=True, help="subspace JSON file")
-    p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("bijection", help="verify the kernel ideal pairing")
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
-    p.set_defaults(func=_cmd_bijection)
+    sub.add_parser("bijection", parents=[capped], help="verify the kernel ideal pairing")
+    sub.add_parser("decompose", parents=[capped], help="decompose the kernel into two ideals")
+    sub.add_parser("classify", parents=[document], help="detect the scalar-action law and normalize")
 
-    p = sub.add_parser("decompose", help="decompose the kernel into two ideals")
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("classify", help="detect the scalar-action law and normalize")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
+    # its own --cap: one from a parent parser would come first in `verify --help`
     p = sub.add_parser("verify", help="run the executable checks")
     p.add_argument("--props", default=None, help="comma-separated check ids")
     p.add_argument("--trials", type=int, default=None)
@@ -303,18 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxdim", type=int, default=None)
     p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.add_argument("--outdir", default=None, help="directory for counterexample files")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "cap", None) is not None:
             enumeration_cap(args.cap)  # a negative cap is a usage error before any work
-        return args.func(args)
+        # looked up when the command runs, so a rebound module name takes effect
+        return globals()[f"_cmd_{args.command}"](args)
     except (*_USAGE_ERRORS, BaricError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 2 if isinstance(exc, _USAGE_ERRORS) else 1

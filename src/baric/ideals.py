@@ -34,6 +34,7 @@ from .bowtie import embed_subspace, factors, project
 from .errors import DimensionMismatch, FactorsNotCommutativeUnital
 from .linalg import (
     Subspace,
+    _raw_span,
     check_subspace_cap,
     enumerate_subspaces,
     raw_residue,
@@ -100,7 +101,7 @@ def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided
             raise DimensionMismatch("generator from a different algebra")
     field = a.field
     sides = (False, True) if side is Sided.TWO_SIDED else (False,)
-    current = span(field, a.dim, [g.coords for g in gens])
+    current = _raw_span(field, a.dim, [g.values for g in gens])
     pending = list(current.rows)
     while pending:
         v = pending.pop()

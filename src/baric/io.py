@@ -35,6 +35,23 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_scalar(text, field: FieldSpec, where: str):
+    """The scalar at `where` in a document; errors name that location."""
+    if not isinstance(text, str):
+        raise ParseError(f"{where}: coefficient must be a string")
+    try:
+        return parse_scalar(text, field)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _read_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def _field_to_json(field: FieldSpec) -> dict:
     if field.p is None:
         return {"kind": "rational"}
@@ -104,26 +121,14 @@ def document_to_algebra(doc) -> BaricAlgebra:
         for name, idx in (("i", i), ("j", j), ("k", k)):
             if not _is_index(idx) or not 0 <= idx < dim:
                 raise ParseError(f"{where}: index {name}={idx!r} out of range for dim {dim}")
-        if not isinstance(coeff, str):
-            raise ParseError(f"{where}: coefficient must be a string")
         if (i, j, k) in table:
             raise DuplicateTriple(f"{where}: triple ({i},{j},{k}) appears twice")
-        try:
-            table[(i, j, k)] = parse_scalar(coeff, field)
-        except ParseError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+        table[(i, j, k)] = _read_scalar(coeff, field, where)
 
     weight_doc = doc.get("weight")
     if not isinstance(weight_doc, list) or len(weight_doc) != dim:
         raise ParseError(f"weight: expected an array of {dim} coefficient strings")
-    coords = []
-    for pos, text in enumerate(weight_doc):
-        if not isinstance(text, str):
-            raise ParseError(f"weight[{pos}]: coefficient must be a string")
-        try:
-            coords.append(parse_scalar(text, field))
-        except ParseError as exc:
-            raise ParseError(f"weight[{pos}]: {exc}") from exc
+    coords = [_read_scalar(text, field, f"weight[{pos}]") for pos, text in enumerate(weight_doc)]
     weight = Weight(field, coords)
 
     # the weight is validated before the provenance is read
@@ -160,11 +165,7 @@ def dumps(b: BaricAlgebra) -> str:
 
 
 def loads(text: str) -> BaricAlgebra:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return document_to_algebra(doc)
+    return document_to_algebra(_read_json(text))
 
 
 def save(b: BaricAlgebra, path) -> None:
@@ -197,7 +198,7 @@ def document_to_subspace(doc) -> Subspace:
     for pos, row in enumerate(vectors_doc):
         if not (isinstance(row, list) and len(row) == n and all(isinstance(x, str) for x in row)):
             raise ParseError(f"vectors[{pos}]: expected {n} coefficient strings")
-        vectors.append([parse_scalar(x, field) for x in row])
+        vectors.append([_read_scalar(x, field, f"vectors[{pos}][{j}]") for j, x in enumerate(row)])
     return span(field, n, vectors)
 
 
@@ -210,8 +211,4 @@ def save_subspace(s: Subspace, path) -> None:
 
 
 def load_subspace(path) -> Subspace:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return document_to_subspace(doc)
+    return document_to_subspace(_read_json(Path(path).read_text(encoding="utf-8")))

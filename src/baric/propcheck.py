@@ -465,7 +465,8 @@ def _check_closed_form(rng, cfg, name, direct, closed_form, labels):
     index_tuples.append(tuple(range(n, n + arity)))
     for indices in index_tuples:
         args = [elements[i] for i in indices]
-        if direct(*args) != Element(bow.algebra, closed_form(b1, b2, *[parts[i] for i in indices])):
+        closed = closed_form(b1, b2, *[parts[i] for i in indices])
+        if direct(*args).values != tuple([c.value for c in closed]):
             at = " ".join(f"{label}={x!r}" for label, x in zip(labels, args))
             raise CheckFailure(f"{name} closed form disagrees at {at}", b1, b2)
 
@@ -523,8 +524,6 @@ def _check_l62(rng, t, cfg):
     else:
         shuffled = eps[:]
         rng.shuffle(shuffled)
-        if not any(shuffled):
-            shuffled[0] = 1
         b = scalar_action(FieldSpec.rationals(), shuffled)
     normalized, tmat = normalize_weight_one_basis(b)
     if normalized.weight != Weight.ones(b.field, n):

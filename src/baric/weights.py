@@ -318,7 +318,8 @@ def find_weight_one_idempotents(
     """
     one = b.field.one
     if b.field.is_finite:
-        pool = (Element(b.algebra, coords) for coords in iter_vectors(b.field, b.dim, cap))
+        vectors = iter_vectors(b.field, b.dim, cap)
+        pool = (Element._raw(b.algebra, [c.value for c in coords]) for coords in vectors)
     else:
         pool = [
             b.basis_element(i).scaled(one / wi) for i, wi in enumerate(b.weight.coords) if wi

@@ -248,6 +248,19 @@ def test_kpow_examples():
     iterated = bowtie(bowtie(k1, k1), k1)
     assert iterated == k3
 
+    # equal algebras hash equal, and each repr is pinned
+    f3_cube, f3_line = kpow(F3, 3), kpow(F3, 1)
+    tripled = bowtie(bowtie(f3_line, f3_line), f3_line)
+    assert tripled == f3_cube and hash(tripled) == hash(f3_cube)
+    assert tripled.algebra is not f3_cube.algebra and hash(tripled.algebra) == hash(f3_cube.algebra)
+    assert repr(f3_cube.algebra) == "Algebra(dim=3, field=p3, nnz=9)"
+    assert repr(f3_cube) == "BaricAlgebra(dim=3, field=p3 bowtie)"
+    assert repr(f3_line) == "BaricAlgebra(dim=1, field=p3)"
+    assert repr(f3_cube.weight) == "Weight(1, 1, 1)"
+    assert repr(Matrix.of(F3, [[1, 2], [0, 1]])) == "Matrix[2x2](1,2; 0,1)"
+    assert repr(span_of(F3, 3, [[2, 1, 0]])) == "Subspace(dim 1 of 3: 1,2,0)"
+    assert repr(F3.element(2)) == "<2 in p3>" and repr(Q.element("-1/2")) == "<-1/2 in q>"
+
 
 def test_kpow_combines_additively():
     for field in (Q, F2, F3):

@@ -152,6 +152,7 @@ F3_LINE = {"field": {"kind": "prime", "p": 3}, "ambient_dim": 2, "vectors": [["1
     ("subspace", "[]", "subspace document root must be an object"),
     ("subspace", json.dumps(dict(F3_LINE, vectors={})), "vectors: expected an array"),
     ("subspace", json.dumps(dict(F3_LINE, vectors=[["1"]])), r"vectors\[0\]: expected 2 coefficient strings"),
+    ("subspace", json.dumps(dict(F3_LINE, vectors=[["1", "x"]])), r"vectors\[0\]\[1\]: bad scalar literal 'x'"),
     ("subspace", "{", "invalid JSON"),
 ])
 def test_malformed_documents_are_parse_errors(tmp_path, loader, text, message):
@@ -365,8 +366,20 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
 
     assert main(["kpow", "2", "--field", "p4", "-o", str(tmp_path / "x.json")]) == 2
 
+    k2 = tmp_path / "k2.json"
+    io.save(kpow(F3, 2), k2)
+    assert main(["ideal", str(k2), "--gens", "1"]) == 2
+    assert "error=DimensionMismatch" in capsys.readouterr().err
+
     missing = main(["check", str(tmp_path / "absent.json")])
     assert missing == 2
+
+
+def test_cli_runs_the_handler_bound_to_its_name_when_the_command_runs(monkeypatch):
+    import baric.cli as cli
+
+    monkeypatch.setattr(cli, "_cmd_kpow", lambda args: 7)
+    assert main(["kpow", "1", "--field", "q", "-o", "unused.json"]) == 7
 
 
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
