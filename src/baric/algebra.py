@@ -25,7 +25,8 @@ from .linalg import Matrix, Subspace, kernel_basis, row_times_matrix, solve, spa
 
 
 class Algebra:
-    """A bilinear product on F^dim, described by its structure constants."""
+    """A bilinear product on F^dim, described by its structure constants; the
+    dimension and indices are plain ints, never bools or floats, as in documents."""
 
     __slots__ = ("field", "dim", "basis_names", "_by_pair")
 
@@ -36,12 +37,13 @@ class Algebra:
         table: Mapping[tuple[int, int, int], object],
         basis_names: Sequence[str] | None = None,
     ):
-        if dim < 1:
-            raise DimensionMismatch("algebra dimension must be at least 1")
+        if type(dim) is not int or dim < 1:
+            raise DimensionMismatch(f"algebra dimension must be an int of at least 1, got {dim!r}")
         clean = []
         for (i, j, k), v in table.items():
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise DimensionMismatch(f"index ({i},{j},{k}) out of range for dim {dim}")
+            if not (type(i) is type(j) is type(k) is int
+                    and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise DimensionMismatch(f"index ({i!r},{j!r},{k!r}) out of range for dim {dim}")
             c = field.element(v).value
             if c:
                 clean.append(((i, j, k), c))

@@ -94,17 +94,14 @@ def factors(b: BaricAlgebra) -> tuple[BaricAlgebra, BaricAlgebra]:
 def embed(b: BaricAlgebra, side: str, x) -> Element:
     """Block-extend a factor element or coordinate row into the product algebra.
 
-    A wrong length raises DimensionMismatch. An Element over the product's field
-    is zero-padded on its stored values; anything else goes through b.element,
-    which refuses an element of another field (FieldMismatch).
+    A wrong length raises DimensionMismatch; the zero-padded coordinates are
+    read by b.element, which refuses an element of another field (FieldMismatch).
     """
     lo, size = _block(b, side)
-    raw = isinstance(x, Element) and x.algebra.field is b.field
-    coords = x.values if raw else x.coords if isinstance(x, Element) else tuple(x)
+    coords = x.coords if isinstance(x, Element) else tuple(x)
     if len(coords) != size:
         raise DimensionMismatch(f"{side} factor has dimension {size}")
-    padded = (0,) * lo + coords + (0,) * (b.dim - lo - size)
-    return Element._raw(b.algebra, padded) if raw else b.element(padded)
+    return b.element((0,) * lo + coords + (0,) * (b.dim - lo - size))
 
 
 def project(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
@@ -315,6 +312,6 @@ def associativity_character(b1: BaricAlgebra, b2: BaricAlgebra) -> Associativity
     bow = bowtie(b1, b2)
     return AssociativityCharacter(
         bowtie_associative=property_flags(bow.algebra).associative,
-        scalar_action_left=is_scalar_action(b1.algebra, b1.weight),
-        scalar_action_right=is_scalar_action(b2.algebra, b2.weight),
+        scalar_action_left=is_scalar_action(b1),
+        scalar_action_right=is_scalar_action(b2),
     )

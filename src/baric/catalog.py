@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import Algebra
-from .errors import WeightInvalid
 from .fields import FieldSpec
 from .weights import BaricAlgebra, Weight, scalar_action_table
 
@@ -40,7 +39,5 @@ def group_algebra_z2(field: FieldSpec) -> BaricAlgebra:
 
 def scalar_action(field: FieldSpec, weights: Sequence) -> BaricAlgebra:
     """The algebra with x*y = w(y)*x on the chosen basis: c[i,j,k] = w_j 1{k=i}."""
-    w = Weight(field, weights)
-    if not w.is_nonzero:
-        raise WeightInvalid("scalar-action weight must be nonzero")
+    w = Weight(field, weights)  # BaricAlgebra refuses a zero weight
     return BaricAlgebra(Algebra(field, len(w), scalar_action_table(w)), w)

@@ -15,7 +15,7 @@ from . import io
 from .algebra import commutative_center, property_flags
 from .bowtie import bowtie
 from .errors import BaricError, DimensionMismatch, DivisionByZero, UnknownProposition
-from .fields import FieldSpec, parse_scalar
+from .fields import FieldSpec
 from .ideals import (
     Sided,
     decomposability,
@@ -44,17 +44,14 @@ def _coords_text(coords) -> str:
 
 
 def _parse_vectors(text: str, field: FieldSpec, dim: int):
+    """The nonempty `--gens` vectors; a bad entry is named as gens[vector][entry]."""
     vectors = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != dim:
-            raise DimensionMismatch(
-                f"vector {chunk!r} has {len(parts)} entries, expected {dim}"
-            )
-        vectors.append([parse_scalar(p, field) for p in parts])
+            raise DimensionMismatch(f"vector {chunk!r} has {len(parts)} entries, expected {dim}")
+        where = f"gens[{len(vectors)}]"
+        vectors.append([io._read_scalar(p, field, f"{where}[{j}]") for j, p in enumerate(parts)])
     return vectors
 
 
@@ -194,8 +191,9 @@ def _cmd_classify(args) -> int:
     iso, target = result
     print(f"scalar_action=true target_dim={target.dim}")
     _print_rows("iso_row", iso.values)
-    print(f"verified={_bool(baric_isomorphic_by(iso, b, target))}")
-    return 0
+    verified = baric_isomorphic_by(iso, b, target)
+    print(f"verified={_bool(verified)}")
+    return 0 if verified else 1
 
 
 def _cmd_verify(args) -> int:

@@ -155,20 +155,23 @@ class FieldSpec:
         return tuple([c.value for c in coords])
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int, Fraction, string or FieldElement into this field."""
+        """The one reader of Python values: a FieldElement of this field as it is, a
+        string through parse_scalar, a Fraction exactly, and anything else through
+        operator.index, so a float or a Decimal is a TypeError over Q and F_p alike."""
         if isinstance(value, FieldElement):
             if value.field is not self:
                 raise FieldMismatch(f"element of {value.field!r} given to {self!r}")
             return value
         if isinstance(value, str):
             return parse_scalar(value, self)
-        if self.p is None:
-            return FieldElement._raw(self, Fraction(value))
         if isinstance(value, Fraction):
+            if self.p is None:
+                return FieldElement._raw(self, Fraction(value))
             if value.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator of {value} is zero mod {self.p}")
             return self._make(value.numerator * pow(value.denominator, -1, self.p))
-        return self._make(_as_int(value))
+        value = _as_int(value)
+        return FieldElement._raw(self, Fraction(value)) if self.p is None else self._make(value)
 
     def elements(self):
         """Iterate every field element (finite fields only)."""

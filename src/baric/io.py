@@ -31,12 +31,12 @@ from .weights import BaricAlgebra, BowtieTag, Weight
 
 
 def _is_index(value) -> bool:
-    # JSON true/false load as Python bools, which are ints
+    """The documents' index rule: an int, never a bool (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_scalar(text, field: FieldSpec, where: str):
-    """The scalar at `where` in a document; errors name that location."""
+    """The one reader of scalar text, in documents and `--gens`; errors name `where`."""
     if not isinstance(text, str):
         raise ParseError(f"{where}: coefficient must be a string")
     try:
@@ -58,21 +58,21 @@ def _field_to_json(field: FieldSpec) -> dict:
     return {"kind": "prime", "p": field.p}
 
 
-def _field_from_json(doc, where: str) -> FieldSpec:
+def _field_from_json(doc) -> FieldSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError(f"{where}: expected an object with a 'kind' key")
+        raise ParseError("field: expected an object with a 'kind' key")
     kind = doc["kind"]
     if kind == "rational":
         return FieldSpec.rationals()
     if kind == "prime":
         p = doc.get("p")
-        if not isinstance(p, int):
-            raise ParseError(f"{where}: prime field needs an integer 'p'")
+        if not _is_index(p):
+            raise ParseError("field: prime field needs an integer 'p'")
         try:
             return FieldSpec.prime(p)
         except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: unknown field kind {kind!r}")
+            raise ParseError(f"field: {exc}") from exc
+    raise ParseError(f"field: unknown field kind {kind!r}")
 
 
 def algebra_to_document(b: BaricAlgebra) -> dict:
@@ -97,7 +97,7 @@ def algebra_to_document(b: BaricAlgebra) -> dict:
 def document_to_algebra(doc) -> BaricAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
-    field = _field_from_json(doc.get("field"), "field")
+    field = _field_from_json(doc.get("field"))
     dim = doc.get("dim")
     if not _is_index(dim) or dim < 1:
         raise ParseError("dim: expected a positive integer")
@@ -187,7 +187,7 @@ def subspace_to_document(s: Subspace) -> dict:
 def document_to_subspace(doc) -> Subspace:
     if not isinstance(doc, dict):
         raise ParseError("subspace document root must be an object")
-    field = _field_from_json(doc.get("field"), "field")
+    field = _field_from_json(doc.get("field"))
     n = doc.get("ambient_dim")
     if not _is_index(n) or n < 0:
         raise ParseError("ambient_dim: expected a nonnegative integer")

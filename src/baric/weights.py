@@ -19,7 +19,6 @@ from .errors import (
     CharacteristicObstruction,
     DimensionMismatch,
     FieldMismatch,
-    FieldNotFinite,
     WeightInvalid,
 )
 from .fields import FieldElement, FieldSpec
@@ -157,11 +156,9 @@ class BaricAlgebra:
 def enumerate_weights(algebra: Algebra, cap: int | None = None) -> list[Weight]:
     """All weight functionals of the algebra, by exhaustive scan over F_p^n.
 
-    Only available over prime fields; the scan covers p^n linear
-    functionals and keeps those that validate.
+    Only available over prime fields (iter_vectors refuses Q); the scan
+    covers p^n linear functionals and keeps those that validate.
     """
-    if algebra.field.p is None:
-        raise FieldNotFinite("weight enumeration needs a finite field")
     found = []
     for coords in iter_vectors(algebra.field, algebra.dim, cap):
         w = Weight(algebra.field, coords)
@@ -238,11 +235,9 @@ def scalar_action_table(weight: Weight) -> dict:
     return {(i, j, i): wj for i in range(n) for j, wj in enumerate(weight.values) if wj}
 
 
-def is_scalar_action(algebra: Algebra, weight: Weight) -> bool:
-    """Basis-level test for the law x*y = w(y)*x."""
-    if len(weight) != algebra.dim:
-        raise DimensionMismatch("weight length does not match the algebra dimension")
-    return dict(algebra.entries()) == scalar_action_table(weight)
+def is_scalar_action(b: BaricAlgebra) -> bool:
+    """Basis-level test for the law x*y = w(y)*x, with w the algebra's own weight."""
+    return dict(b.algebra.entries()) == scalar_action_table(b.weight)
 
 
 def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
@@ -253,8 +248,6 @@ def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
     produces exactly this table. It is the normal form of
     classify_scalar_action.
     """
-    if n < 1:
-        raise DimensionMismatch("the power needs at least one factor")
     weight = Weight.ones(field, n)
     tag = None
     if n >= 2:
@@ -273,7 +266,7 @@ def classify_scalar_action(b: BaricAlgebra) -> tuple[Matrix, BaricAlgebra] | Non
     identity; otherwise the weight-one basis construction runs and a
     CharacteristicObstruction from it propagates.
     """
-    if not is_scalar_action(b.algebra, b.weight):
+    if not is_scalar_action(b):
         return None
     n = b.dim
     target = kpow(b.field, n)

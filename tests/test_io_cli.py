@@ -134,6 +134,11 @@ F3_LINE = {"field": {"kind": "prime", "p": 3}, "ambient_dim": 2, "vectors": [["1
 @pytest.mark.parametrize("loader, text, message", [
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, field="q")), "field: expected an object"),
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, field={"kind": "prime", "p": "5"})), "integer 'p'"),
+    (
+        "algebra",
+        json.dumps(dict(FIELD_SQUARE_DOC, field={"kind": "prime", "p": True})),
+        "field: prime field needs an integer 'p'",
+    ),
     ("algebra", "[]", "document root must be an object"),
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, basis=[1, 2])), "basis: expected an array of strings"),
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, basis=["1"])), "basis: expected 2 names, got 1"),
@@ -342,6 +347,16 @@ def test_cli_classify(tmp_path, capsys):
     assert "scalar_action=false" in capsys.readouterr().out
 
 
+def test_cli_classify_exits_1_when_its_map_fails_verification(tmp_path, capsys, monkeypatch):
+    import baric.cli as cli
+
+    monkeypatch.setattr(cli, "baric_isomorphic_by", lambda f, b1, b2: False)
+    path = tmp_path / "sq.json"
+    io.save(scalar_action(Q, [2, 3]), path)
+    assert main(["classify", str(path)]) == 1
+    assert capsys.readouterr().out.endswith("verified=false\n")
+
+
 def test_cli_verify_subset(tmp_path, capsys):
     code = main([
         "verify", "--props", "P4.1,EX2.1", "--trials", "5", "--seed", "1",
@@ -370,6 +385,8 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
     io.save(kpow(F3, 2), k2)
     assert main(["ideal", str(k2), "--gens", "1"]) == 2
     assert "error=DimensionMismatch" in capsys.readouterr().err
+    assert main(["ideal", str(k2), "--gens", "1,0;0,x"]) == 2
+    assert "error=ParseError detail=gens[1][1]: bad scalar literal 'x'" in capsys.readouterr().err
 
     missing = main(["check", str(tmp_path / "absent.json")])
     assert missing == 2

@@ -174,7 +174,7 @@ def test_l61_catches_a_dropped_term(monkeypatch):
     # the mutant is wrong on precisely the other trials, and each of them must fail.
     monkeypatch.setattr(propcheck, "associator_closed_form", _associator_form_without_w2p2)
     trials = 10
-    wrong = sum(not is_scalar_action(b.algebra, b.weight) for b in _left_factors("L6.1", trials))
+    wrong = sum(not is_scalar_action(b) for b in _left_factors("L6.1", trials))
     assert 0 < wrong < trials
     report = check("L6.1", trials=trials)
     assert report.failures == wrong

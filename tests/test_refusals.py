@@ -28,7 +28,6 @@ from baric import (
 )
 from baric.catalog import dual_numbers, scalar_action
 from baric.linalg import iter_vectors
-from baric.weights import is_scalar_action
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
@@ -42,6 +41,14 @@ DD = bowtie(dual_numbers(F3), dual_numbers(F3))
 
 REFUSALS = {
     "algebra with too few basis names": (lambda: Algebra(F3, 2, {}, ["e0"]), DimensionMismatch),
+    "algebra with a float dimension": (lambda: Algebra(Q, 2.0, {}), DimensionMismatch),
+    "algebra with a fractional float index": (lambda: Algebra(Q, 2, {(0.5, 0, 0): 1}), DimensionMismatch),
+    "algebra with an integral float index": (lambda: Algebra(Q, 2, {(0.0, 0, 0): 1}), DimensionMismatch),
+    "algebra with a bool index": (lambda: Algebra(Q, 2, {(True, 0, 0): 1}), DimensionMismatch),
+    "float scalar over Q": (lambda: Q.element(0.1), TypeError),
+    "float scalar over F5": (lambda: F5.element(0.5), TypeError),
+    "weight with a float coordinate": (lambda: Weight(Q, [0.5, 1]), TypeError),
+    "matrix with a float entry": (lambda: Matrix.of(Q, [[0.1]]), TypeError),
     "basis_element out of range": (lambda: A.basis_element(2), DimensionMismatch),
     "element plus a non-element": (lambda: X + 1, TypeError),
     "element times a non-element": (lambda: X * 1, TypeError),
@@ -79,7 +86,6 @@ REFUSALS = {
         DimensionMismatch,
     ),
     "validate_weight with a short weight": (lambda: validate_weight(A, Weight(F3, [1])), DimensionMismatch),
-    "is_scalar_action with a short weight": (lambda: is_scalar_action(A, Weight(F3, [1])), DimensionMismatch),
     "kpow with no factor": (lambda: kpow(F3, 0), DimensionMismatch),
     "isomorphism test with a map of the wrong shape": (
         lambda: baric_isomorphic_by(Matrix.identity(F3, 3), K2, K2),

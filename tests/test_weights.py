@@ -152,9 +152,8 @@ def test_classify_scalar_action_obstruction():
 
 
 def test_is_scalar_action():
-    assert is_scalar_action(kpow(F3, 3).algebra, kpow(F3, 3).weight)
-    d2 = dual_numbers(Q)
-    assert not is_scalar_action(d2.algebra, d2.weight)
+    assert is_scalar_action(kpow(F3, 3))
+    assert not is_scalar_action(dual_numbers(Q))
 
 
 def test_baric_isomorphic_by_examples():
