@@ -8,6 +8,7 @@ printed when one was written), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -231,8 +232,12 @@ _CAP_HELP = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `baric` parser; main runs the handler `_cmd_<command>`."""
+    """The `baric` parser, built once per process; main runs the handler `_cmd_<command>`.
+
+    Each parse_args call fills a new namespace, so nothing carries over between commands.
+    """
     parser = argparse.ArgumentParser(
         prog="baric",
         description="Exact computations with finite-dimensional baric algebras.",

@@ -274,4 +274,4 @@ def parse_scalar(text: str, field: FieldSpec) -> FieldElement:
         return FieldElement._raw(field, Fraction(num, den))
     if den % field.p == 0:
         raise DivisionByZero(f"denominator of {text!r} is zero mod {field.p}")
-    return field.element(Fraction(num, den))
+    return field._make(num * pow(den, -1, field.p))

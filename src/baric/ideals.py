@@ -18,12 +18,13 @@ a capped search for the first witness pair in enumeration order.
 
 Images of basis vectors come from Algebra.times_basis and membership
 from linalg.raw_residue, both on raw values as a Subspace stores its rows.
-The module's own arithmetic is the elimination mod p in _commutant_dim.
+The module's own arithmetic is the spin-up mod p in _commutant_dim: it
+spins a standard basis of V under the multiplication maps and solves for
+the images of its seeds.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from enum import Enum
 from typing import Sequence
 
@@ -230,43 +231,116 @@ class Decomposability:
     n2: Subspace | None = None
 
 
+def _reduce(echelon: dict[int, dict[int, int]], vec: dict[int, int], p: int) -> dict[int, int]:
+    """Sparse row vec reduced mod p against echelon until its leading key has no row.
+
+    echelon maps a leading key to a row whose entry there is 1.
+    """
+    vec = {u: x % p for u, x in vec.items() if x % p}
+    while vec:
+        lead = min(vec)
+        row = echelon.get(lead)
+        if row is None:
+            break
+        f = vec[lead]
+        for u, x in row.items():
+            vec[u] = vec.get(u, 0) - f * x
+        vec = {u: x % p for u, x in vec.items() if x % p}
+    return vec
+
+
+def _add_row(echelon: dict[int, dict[int, int]], vec: dict[int, int], p: int) -> None:
+    """Put a reduced nonzero row into echelon, scaled to 1 at its leading key."""
+    lead = min(vec)
+    inv = pow(vec[lead], -1, p)
+    echelon[lead] = {u: x * inv % p for u, x in vec.items()}
+
+
+def _times(x: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
+    """The matrix product x g mod p, skipping the zero entries of x."""
+    out = []
+    for row in x:
+        acc = [0] * len(g)
+        for xm, g_row in zip(row, g):
+            if xm:
+                for c, y in enumerate(g_row):
+                    acc[c] += xm * y
+        out.append([y % p for y in acc])
+    return out
+
+
 def _commutant_dim(a: Algebra, v: Subspace) -> int:
     """dim E for E = End_M(V), V a two-sided ideal of `a` over a prime field.
 
     M is generated by the maps L_j(x) = e_j * x and R_j(x) = x * e_j
-    restricted to V. Each generator G is read in V's RREF coordinates (a
-    vector of V is the sum of its entries at V.pivots times the matching
-    rows), so E is {X : XG = GX for every G}, the solutions of d^2 unknowns.
-    Entry (r, c) of XG - GX is one sparse equation; each is reduced into an
-    echelon basis as it comes, and the count stops at rank d^2 - 1, because
-    the scalars always lie in E.
+    restricted to V, each read as a d x d matrix G in V's RREF coordinates
+    (a vector of V is the sum of its entries at V.pivots times the matching
+    rows); E is {X : XG = GX for every G}.
+
+    Standard-basis spin-up (Schneider, JSC 1990): the unit vectors u_i of V
+    are spun in order, skipping those already in the span, until the spins
+    span V; with s seeds, each basis vector b_k = u_i M_k keeps its word
+    M_k, a product of generators, and its seed t. An X in E is fixed by the
+    rows y_t = u_i X, as b_k X = y_t M_k. Every product b_k G that is
+    already in the span, b_k G = sum a_m b_m, gives d equations
+    y_t M_k G - sum a_m y_t(m) M_m = 0, and E is their solution space in
+    s * d unknowns. The count stops at rank s * d - 1, because the scalars
+    always lie in E. dim V = 0 gives 0.
     """
     p, d = a.field.p, v.dim
-    echelon: dict[int, dict[int, int]] = {}  # leading unknown -> row, leading coefficient 1
+    gens = []
     for j in range(a.dim):
         for left in (False, True):
             images = [a.times_basis(row, j, left) for row in v.rows]
-            g = [[image[pc] % p for pc in v.pivots] for image in images]
-            for r in range(d):
+            gens.append([[image[pc] % p for pc in v.pivots] for image in images])
+    # a spin row (r | c) keeps V coordinates under keys 0..d-1 and c_m under
+    # key d + m, with r = -sum c_m b_m; reducing b_k G to (0 | c) gives a = c
+    spun: dict[int, dict[int, int]] = {}
+    words: list[list[list[int]]] = []  # M_k
+    seed_of: list[int] = []  # t for b_k
+    units: list[int] = []  # i for seed t
+    equations: dict[int, dict[int, int]] = {}  # unknown t * d + r is entry r of y_t
+
+    def grow(rest: dict[int, int], word: list[list[int]], t: int) -> None:
+        rest[d + len(words)] = p - 1
+        _add_row(spun, rest, p)
+        words.append(word)
+        seed_of.append(t)
+
+    k = 0
+    for i in range(d):
+        rest = _reduce(spun, {i: 1}, p)
+        if not rest or min(rest) >= d:
+            continue  # u_i is in the span
+        units.append(i)
+        grow(rest, [[int(r == c) for c in range(d)] for r in range(d)], len(units) - 1)
+        while k < len(words):
+            word, t = words[k], seed_of[k]
+            for g in gens:
+                # the rank never passes s * d - 1; once there, only the spin can add
+                saturated = len(equations) == len(units) * d - 1
+                if saturated and len(words) == d:
+                    return 1
+                (bg,) = _times([word[units[t]]], g, p)  # b_k G
+                rest = _reduce(spun, dict(enumerate(bg)), p)
+                is_new = bool(rest) and min(rest) < d
+                if saturated and not is_new:
+                    continue
+                wg = _times(word, g, p)
+                if is_new:
+                    grow(rest, wg, t)
+                    continue
                 for c in range(d):
-                    # (XG - GX)[r][c] = sum_m X[r][m] G[m][c] - G[r][m] X[m][c]
-                    eq = defaultdict(int)
-                    for m in range(d):
-                        eq[r * d + m] += g[m][c]
-                        eq[m * d + c] -= g[r][m]
-                    while eq := {u: x % p for u, x in eq.items() if x % p}:
-                        lead = min(eq)
-                        row = echelon.get(lead)
-                        if row is None:
-                            inv = pow(eq[lead], -1, p)
-                            echelon[lead] = {u: x * inv % p for u, x in eq.items()}
-                            if len(echelon) == d * d - 1:
-                                return 1
-                            break
-                        f = eq[lead]
-                        for u, x in row.items():
-                            eq[u] = eq.get(u, 0) - f * x
-    return d * d - len(echelon)
+                    eq = {t * d + r: wg[r][c] for r in range(d)}
+                    for key, am in rest.items():
+                        base, wm = seed_of[key - d] * d, words[key - d]
+                        for r in range(d):
+                            eq[base + r] = eq.get(base + r, 0) - am * wm[r][c]
+                    eq = _reduce(equations, eq, p)
+                    if eq:
+                        _add_row(equations, eq, p)
+            k += 1
+    return len(units) * d - len(equations)
 
 
 def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:

@@ -1,3 +1,5 @@
+import time
+from collections import defaultdict
 from itertools import product
 
 import pytest
@@ -38,6 +40,7 @@ from baric.ideals import KernelIdealBijection, _commutant_dim
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
 
 
 def test_ideal_closure_examples():
@@ -438,6 +441,91 @@ def test_commutant_dim_matches_brute_force_count(field_and_max, data):
         b = random_baric(field, n, seed=data.draw(st.integers(0, 10_000)), **flags)
     kernel = b.kernel()
     assert field.p ** _commutant_dim(b.algebra, kernel) == _brute_force_commutant_count(b.algebra, kernel)
+
+
+def _d_squared_commutant_dim(a, v):
+    """dim E from the d^2-unknown system XG = GX, one sparse equation per entry.
+
+    Each equation is reduced into an echelon as it comes; the count stops
+    at rank d^2 - 1, as the scalars always lie in E.
+    """
+    p, d = a.field.p, v.dim
+    echelon = {}
+    for j in range(a.dim):
+        for left in (False, True):
+            images = [a.times_basis(row, j, left) for row in v.rows]
+            g = [[image[pc] % p for pc in v.pivots] for image in images]
+            for r in range(d):
+                for c in range(d):
+                    # (XG - GX)[r][c] = sum_m X[r][m] G[m][c] - G[r][m] X[m][c]
+                    eq = defaultdict(int)
+                    for m in range(d):
+                        eq[r * d + m] += g[m][c]
+                        eq[m * d + c] -= g[r][m]
+                    while eq := {u: x % p for u, x in eq.items() if x % p}:
+                        lead = min(eq)
+                        row = echelon.get(lead)
+                        if row is None:
+                            inv = pow(eq[lead], -1, p)
+                            echelon[lead] = {u: x * inv % p for u, x in eq.items()}
+                            if len(echelon) == d * d - 1:
+                                return 1
+                            break
+                        f = eq[lead]
+                        for u, x in row.items():
+                            eq[u] = eq.get(u, 0) - f * x
+    return d * d - len(echelon)
+
+
+def _assert_commutant_dims_agree(b):
+    """The spin-up and the d^2 system agree on Ker w and on all of A."""
+    whole = span_of(b.field, b.dim, [b.algebra.basis_element(j).coords for j in range(b.dim)])
+    for v in (b.kernel(), whole):
+        assert _commutant_dim(b.algebra, v) == _d_squared_commutant_dim(b.algebra, v)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5])
+@pytest.mark.parametrize("flags", [{}, {"commutative": True}, {"commutative": True, "unital": True}])
+def test_commutant_dim_matches_the_d_squared_system_on_random_algebras(field, flags):
+    for n in range(2, 8):
+        for seed in range(10):
+            _assert_commutant_dims_agree(random_baric(field, n, seed=seed, **flags))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5])
+@pytest.mark.parametrize("kind", ["truncated", "componentwise", "kpow"])
+def test_commutant_dim_matches_the_d_squared_system_on_catalog(field, kind):
+    # componentwise and kpow: no one vector spans Ker w, so several seeds spin
+    for n in range(2, 9):
+        _assert_commutant_dims_agree(_catalog_baric(field, kind, n))
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_commutant_dim_matches_the_d_squared_system_on_products(field):
+    for seed in range(6):
+        left = random_baric(field, 2 + seed % 3, commutative=True, unital=True, seed=seed)
+        right = random_baric(field, 2 + seed // 3, commutative=True, unital=True, seed=seed + 100)
+        _assert_commutant_dims_agree(bowtie(left, right))
+    _assert_commutant_dims_agree(bowtie(componentwise(field, 3), truncated_polynomials(field, 3)))
+    _assert_commutant_dims_agree(bowtie(kpow(field, 2), dual_numbers(field)))
+
+
+def test_commutant_dim_of_spaces_of_dimension_0_and_1():
+    # Ker w is 0 in the dim-1 algebras and a line in the dim-2 ones
+    for b in (kpow(F2, 1), truncated_polynomials(F3, 1), kpow(F5, 2), dual_numbers(F3)):
+        _assert_commutant_dims_agree(b)
+    assert _commutant_dim(kpow(F2, 1).algebra, kpow(F2, 1).kernel()) == 0
+    assert _commutant_dim(kpow(F5, 2).algebra, kpow(F5, 2).kernel()) == 1
+
+
+def test_commutant_dim_of_a_dim_19_kernel_is_fast():
+    # the d^2 system took 1.75 s here; the spin-up needs well under a second
+    b = random_baric(F3, 20, seed=1)
+    kernel = b.kernel()
+    assert kernel.dim == 19
+    start = time.perf_counter()
+    assert _commutant_dim(b.algebra, kernel) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def _single_span_phi(result, left, right):

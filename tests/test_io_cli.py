@@ -13,6 +13,7 @@ from baric import (
     Weight,
     WeightInvalid,
     bowtie,
+    decomposability,
     kpow,
     random_baric,
     random_rational_baric,
@@ -397,6 +398,32 @@ def test_cli_runs_the_handler_bound_to_its_name_when_the_command_runs(monkeypatc
 
     monkeypatch.setattr(cli, "_cmd_kpow", lambda args: 7)
     assert main(["kpow", "1", "--field", "q", "-o", "unused.json"]) == 7
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state_between_commands(tmp_path, monkeypatch, capsys):
+    import baric.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    caps = []
+
+    def spy(b, cap=None):
+        caps.append(cap)
+        return decomposability(b, cap)
+
+    monkeypatch.setattr(cli, "decomposability", spy)
+    path = tmp_path / "k3.json"
+    io.save(kpow(F2, 3), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", str(path), "--cap", "x"])
+    assert exc.value.code == 2
+    assert main(["decompose", str(path), "--cap", "5"]) == 1
+    assert main(["decompose", str(path)]) == 0
+    assert caps == [5, None]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser.__wrapped__().format_help()
 
 
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
