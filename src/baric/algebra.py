@@ -15,6 +15,7 @@ FieldSpec.unwrap, the one door.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
@@ -238,45 +239,72 @@ def _is_commutative(a: Algebra) -> bool:
     return all(by_pair.get((j, i)) == entries for (i, j), entries in by_pair.items())
 
 
+def _basis_associators(by_pair: dict, n: int, p: int | None):
+    """The basis associators of a table, one pair (i, j) at a time, computed when first asked.
+
+    Returns a cached function of (i, j) giving {k * n + t: A(i,j,k)_t}
+    with the nonzero values only (reduced mod p over F_p), where
+    A(i,j,k) = (e_i e_j) e_k - e_i (e_j e_k) = sum_m c[i,j,m] e_m e_k -
+    sum_m c[j,k,m] e_i e_m is summed over the nonzero constants only.
+    """
+    starting = [[] for _ in range(n)]  # m -> ((k * n, row of e_m e_k), ...)
+    for (m, k), row in by_pair.items():
+        starting[m].append((k * n, row))
+
+    @functools.cache
+    def block(i: int, j: int) -> dict:
+        acc: dict[int, object] = {}
+        for m, c in by_pair.get((i, j), ()):
+            for kn, row in starting[m]:
+                for t, d in row:
+                    acc[kn + t] = acc.get(kn + t, 0) + c * d
+        for kn, jk in starting[j]:
+            for m, c in jk:
+                for t, d in by_pair.get((i, m), ()):
+                    acc[kn + t] = acc.get(kn + t, 0) - c * d
+        if p is None:
+            return {key: v for key, v in acc.items() if v}
+        return {key: r for key, v in acc.items() if (r := v % p)}
+
+    return block
+
+
+def _left_alternative(block, n: int, p: int | None) -> bool:
+    """(x,x,y) = 0 identically: A(i,i,k) = 0, and A(i,j,k) + A(j,i,k) = 0 for i < j."""
+    for i in range(n):
+        if block(i, i):
+            return False
+        for j in range(i + 1, n):
+            bij, bji = block(i, j), block(j, i)
+            for key in bij.keys() | bji.keys():
+                s = bij.get(key, 0) + bji.get(key, 0)
+                if s if p is None else s % p:
+                    return False
+    return True
+
+
 def _associator_laws(a: Algebra, commutative: bool) -> tuple[bool, bool, bool]:
     """(associative, left alternative, right alternative), decided exactly.
 
-    All three are read off the basis associators
-    A(i,j,k) = (e_i e_j) e_k - e_i (e_j e_k), tested for zero on raw values.
-    The associator is trilinear, so (x,x,y) = sum_i x_i^2 A(i,i,y) +
+    All three are read off the basis associators A(i,j,k), computed sparsely
+    and only as far as each decision needs (see _basis_associators). The
+    associator is trilinear, so (x,x,y) = sum_i x_i^2 A(i,i,y) +
     sum_{i<j} x_i x_j (A(i,j,y) + A(j,i,y)); evaluating at e_i and e_i + e_j
     shows it vanishes identically exactly when A(i,i,k) = 0 and
-    A(i,j,k) + A(j,i,k) = 0 for i < j, over every field including F_2. The
-    right law is the mirror image. An associative algebra satisfies both
-    laws, and in a commutative one (y,x,x) = -(x,x,y), so the right law is
-    the left law.
+    A(i,j,k) + A(j,i,k) = 0 for i < j, over every field including F_2. In
+    the opposite algebra, x o y = yx, (x,x,y) is -(y,x,x), so the right law
+    is the left law of the opposite table. An associative algebra satisfies
+    both laws, and in a commutative one the two laws coincide.
     """
     n, p = a.dim, a.field.p
-    units = [[int(m == i) for m in range(n)] for i in range(n)]
-    pairs = [[a.times_basis(e, j, left=False) for j in range(n)] for e in units]
-
-    def assoc(i, j, k):
-        lhs = a.times_basis(pairs[i][j], k, left=False)
-        rhs = a.times_basis(pairs[j][k], i, left=True)
-        return [s - t for s, t in zip(lhs, rhs)]
-
-    def is_zero(v):
-        return not any(v) if p is None else not any([x % p for x in v])
-
-    if all(is_zero(assoc(i, j, k)) for i, j, k in product(range(n), repeat=3)):
+    block = _basis_associators(a._by_pair, n, p)
+    if not any(block(i, j) for i, j in product(range(n), repeat=2)):
         return True, True, True
-
-    def law(a_of):  # a_of(i, j, k) is A(i,j,k), or A(k,i,j) for the right law
-        return all(
-            is_zero(a_of(i, i, k)) if i == j
-            else is_zero([s + t for s, t in zip(a_of(i, j, k), a_of(j, i, k))])
-            for i, j, k in product(range(n), repeat=3)
-            if i <= j
-        )
-
-    left = law(assoc)
-    right = left if commutative else law(lambda i, j, k: assoc(k, i, j))
-    return False, left, right
+    left = _left_alternative(block, n, p)
+    if commutative:
+        return False, left, left
+    opposite = {(j, i): row for (i, j), row in a._by_pair.items()}
+    return False, left, _left_alternative(_basis_associators(opposite, n, p), n, p)
 
 
 def _find_unit(a: Algebra) -> Element | None:

@@ -226,9 +226,9 @@ def _cmd_verify(args) -> int:
 
 
 _CAP_HELP = (
-    "most items an exhaustive search may visit: p^n vectors for weight and "
-    "idempotent scans, every subspace of the searched space for ideal lattices "
-    "(default: 2^20)"
+    "most items an exhaustive search may visit: branch nodes of the weight "
+    "search, p^n vectors for idempotent scans, every subspace of the searched "
+    "space for ideal lattices (default: 2^20)"
 )
 
 

@@ -20,7 +20,7 @@ Images of basis vectors come from Algebra.times_basis and membership
 from linalg.raw_residue, both on raw values as a Subspace stores its rows.
 The module's own arithmetic is the spin-up mod p in _commutant_dim: it
 spins a standard basis of V under the multiplication maps and solves for
-the images of its seeds.
+the images of its seeds, on linalg's sparse echelon rows.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .linalg import (
     Subspace,
     _raw_span,
     check_subspace_cap,
+    echelon_add,
+    echelon_reduce,
     enumerate_subspaces,
     raw_residue,
     span,
@@ -231,31 +233,6 @@ class Decomposability:
     n2: Subspace | None = None
 
 
-def _reduce(echelon: dict[int, dict[int, int]], vec: dict[int, int], p: int) -> dict[int, int]:
-    """Sparse row vec reduced mod p against echelon until its leading key has no row.
-
-    echelon maps a leading key to a row whose entry there is 1.
-    """
-    vec = {u: x % p for u, x in vec.items() if x % p}
-    while vec:
-        lead = min(vec)
-        row = echelon.get(lead)
-        if row is None:
-            break
-        f = vec[lead]
-        for u, x in row.items():
-            vec[u] = vec.get(u, 0) - f * x
-        vec = {u: x % p for u, x in vec.items() if x % p}
-    return vec
-
-
-def _add_row(echelon: dict[int, dict[int, int]], vec: dict[int, int], p: int) -> None:
-    """Put a reduced nonzero row into echelon, scaled to 1 at its leading key."""
-    lead = min(vec)
-    inv = pow(vec[lead], -1, p)
-    echelon[lead] = {u: x * inv % p for u, x in vec.items()}
-
-
 def _times(x: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
     """The matrix product x g mod p, skipping the zero entries of x."""
     out = []
@@ -303,13 +280,13 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
 
     def grow(rest: dict[int, int], word: list[list[int]], t: int) -> None:
         rest[d + len(words)] = p - 1
-        _add_row(spun, rest, p)
+        echelon_add(spun, rest, p)
         words.append(word)
         seed_of.append(t)
 
     k = 0
     for i in range(d):
-        rest = _reduce(spun, {i: 1}, p)
+        rest = echelon_reduce(spun, {i: 1}, p)
         if not rest or min(rest) >= d:
             continue  # u_i is in the span
         units.append(i)
@@ -322,7 +299,7 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
                 if saturated and len(words) == d:
                     return 1
                 (bg,) = _times([word[units[t]]], g, p)  # b_k G
-                rest = _reduce(spun, dict(enumerate(bg)), p)
+                rest = echelon_reduce(spun, dict(enumerate(bg)), p)
                 is_new = bool(rest) and min(rest) < d
                 if saturated and not is_new:
                     continue
@@ -336,9 +313,9 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
                         base, wm = seed_of[key - d] * d, words[key - d]
                         for r in range(d):
                             eq[base + r] = eq.get(base + r, 0) - am * wm[r][c]
-                    eq = _reduce(equations, eq, p)
+                    eq = echelon_reduce(equations, eq, p)
                     if eq:
-                        _add_row(equations, eq, p)
+                        echelon_add(equations, eq, p)
             k += 1
     return len(units) * d - len(equations)
 

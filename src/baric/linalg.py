@@ -14,7 +14,9 @@ membership.
 
 Over prime fields the module can also enumerate every subspace of an
 ambient space, walking reduced-echelon pivot patterns so that each
-subspace is produced exactly once without any dedup storage.
+subspace is produced exactly once without any dedup storage, and keeps
+the one sparse mod-p echelon (echelon_reduce, echelon_add) that the
+commutant kernel and the weight search grow a row at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def enumeration_cap(override: int | None = None) -> int:
 
     The cap bounds the number of items an exhaustive search visits: the
     p^dim vectors of iter_vectors, the subspace_count(p, dim) subspaces of
-    enumerate_subspaces. A negative cap raises ValueError.
+    enumerate_subspaces, the branch nodes of weights.enumerate_weights
+    (root included). A negative cap raises ValueError.
     """
     cap = DEFAULT_ENUMERATION_CAP if override is None else override
     if cap < 0:
@@ -340,6 +343,33 @@ def raw_residue(s: Subspace, v: Sequence) -> list:
     if p is not None:
         v = [x % p for x in v]
     return v
+
+
+def echelon_reduce(echelon: dict[int, dict[int, int]], vec: dict[int, int], p: int) -> dict[int, int]:
+    """Sparse row vec reduced mod p against echelon until its leading key has no row.
+
+    echelon maps a leading key to a sparse row (key -> residue) whose entry
+    there is 1; the leading key of a row is its least key. The result is
+    empty exactly when vec lies in the span of the rows.
+    """
+    vec = {u: x % p for u, x in vec.items() if x % p}
+    while vec:
+        lead = min(vec)
+        row = echelon.get(lead)
+        if row is None:
+            break
+        f = vec[lead]
+        for u, x in row.items():
+            vec[u] = vec.get(u, 0) - f * x
+        vec = {u: x % p for u, x in vec.items() if x % p}
+    return vec
+
+
+def echelon_add(echelon: dict[int, dict[int, int]], vec: dict[int, int], p: int) -> None:
+    """Put a row reduced by echelon_reduce (nonzero) into echelon, scaled to 1 at its leading key."""
+    lead = min(vec)
+    inv = pow(vec[lead], -1, p)
+    echelon[lead] = {u: x * inv % p for u, x in vec.items() if x % p}
 
 
 def span(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence[FieldElement]]) -> Subspace:

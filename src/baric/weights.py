@@ -18,11 +18,22 @@ from .algebra import Algebra, Element, change_basis, property_flags
 from .errors import (
     CharacteristicObstruction,
     DimensionMismatch,
+    EnumerationTooLarge,
     FieldMismatch,
+    FieldNotFinite,
     WeightInvalid,
 )
 from .fields import FieldElement, FieldSpec
-from .linalg import Matrix, Subspace, iter_vectors, kernel_basis, span
+from .linalg import (
+    Matrix,
+    Subspace,
+    echelon_add,
+    echelon_reduce,
+    enumeration_cap,
+    iter_vectors,
+    kernel_basis,
+    span,
+)
 
 
 class Weight:
@@ -154,17 +165,70 @@ class BaricAlgebra:
 
 
 def enumerate_weights(algebra: Algebra, cap: int | None = None) -> list[Weight]:
-    """All weight functionals of the algebra, by exhaustive scan over F_p^n.
+    """All weight functionals of the algebra over a prime field, in lexicographic order.
 
-    Only available over prime fields (iter_vectors refuses Q); the scan
-    covers p^n linear functionals and keeps those that validate.
+    w is a weight iff it is nonzero and w_i w_j = sum_k c[i,j,k] w_k for
+    all i, j. Branch and linearise: w_0, w_1, ... are fixed in index order,
+    each to every value 0..p-1 that a sparse mod-p echelon system allows
+    (just one when the system forces w_i). Fixing w_i = a makes the
+    equations of the pairs (i, j) and (j, i) linear, and those with j >= i
+    join the system (the rest joined when w_j was fixed); a branch whose
+    equations contradict the system is pruned. A leaf has every equation
+    in its system, so it is a weight or zero; validate_weight checks it.
+    Leaves come out in lexicographic order, that of iter_vectors.
+
+    Over the rationals FieldNotFinite is raised. The cap bounds the branch
+    nodes visited, the root and the leaves included: EnumerationTooLarge is
+    raised on reaching node cap + 1, so a cap of 0 refuses any search.
     """
+    field, n = algebra.field, algebra.dim
+    p = field.p
+    if p is None:
+        raise FieldNotFinite("weights can only be enumerated over a prime field")
+    cap = enumeration_cap(cap)
     found = []
-    for coords in iter_vectors(algebra.field, algebra.dim, cap):
-        w = Weight(algebra.field, coords)
-        if validate_weight(algebra, w):
-            found.append(w)
+    visited = 0
+    # a node is (w_0 .. w_{i-1}, echelon); echelon rows are sparse over the
+    # unknowns 0..n-1 and the constant key n, each row read as row . (w, 1) = 0
+    stack = [((), {})]
+    while stack:
+        prefix, echelon = stack.pop()
+        visited += 1
+        if visited > cap:
+            raise EnumerationTooLarge(f"the weight search visits more than {cap} branch nodes")
+        i = len(prefix)
+        if i == n:
+            w = Weight(field, prefix)
+            if validate_weight(algebra, w):
+                found.append(w)
+            continue
+        rest = echelon_reduce(echelon, {i: 1}, p)
+        free = bool(rest) and min(rest) < n
+        children = []
+        for a in range(p) if free else (rest.get(n, 0),):
+            child = dict(echelon)
+            if free:
+                echelon_add(child, {**rest, n: rest.get(n, 0) - a}, p)
+            if _linearise(algebra, child, i, a):
+                children.append((prefix + (a,), child))
+        stack.extend(reversed(children))
     return found
+
+
+def _linearise(algebra: Algebra, echelon: dict, i: int, a: int) -> bool:
+    """Add a w_j - sum_k c[i,j,k] w_k = 0 and its mirror for j >= i; False on a contradiction."""
+    n, p, by_pair = algebra.dim, algebra.field.p, algebra._by_pair
+    for j in range(i, n):
+        for pair in {(i, j), (j, i)}:
+            eq = {j: a}
+            for k, c in by_pair.get(pair, ()):
+                eq[k] = eq.get(k, 0) - c
+            eq = echelon_reduce(echelon, eq, p)
+            if eq:
+                if min(eq) == n:
+                    return False  # 0 = nonzero constant
+                echelon_add(echelon, eq, p)
+    return True
 
 
 def nil_kernel_witness(b: BaricAlgebra) -> Element | None:

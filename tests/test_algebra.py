@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -17,8 +18,8 @@ from baric import (
     kpow,
     property_flags,
 )
-from baric.algebra import _find_unit
-from baric.catalog import dual_numbers, scalar_action
+from baric.algebra import _associator_laws, _find_unit, _is_commutative
+from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -248,3 +249,80 @@ def test_find_unit_matches_brute_force(field, n):
         assert unit == _brute_force_unit(a)
         found += unit is not None
     assert 0 < found < 150
+
+
+def _dense_associator_laws(a, commutative):
+    """(associative, left alternative, right alternative) from dense basis associators.
+
+    Every A(i,j,k) = (e_i e_j) e_k - e_i (e_j e_k) is built as a length-n
+    vector from times_basis; the laws are A(i,i,k) = 0 and A(i,j,k) +
+    A(j,i,k) = 0 for i < j, and their mirror image.
+    """
+    n, p = a.dim, a.field.p
+    units = [[int(m == i) for m in range(n)] for i in range(n)]
+    pairs = [[a.times_basis(e, j, left=False) for j in range(n)] for e in units]
+
+    def assoc(i, j, k):
+        lhs = a.times_basis(pairs[i][j], k, left=False)
+        rhs = a.times_basis(pairs[j][k], i, left=True)
+        return [s - t for s, t in zip(lhs, rhs)]
+
+    def is_zero(v):
+        return not any(v) if p is None else not any([x % p for x in v])
+
+    if all(is_zero(assoc(i, j, k)) for i, j, k in product(range(n), repeat=3)):
+        return True, True, True
+
+    def law(a_of):
+        return all(
+            is_zero(a_of(i, i, k)) if i == j
+            else is_zero([s + t for s, t in zip(a_of(i, j, k), a_of(j, i, k))])
+            for i, j, k in product(range(n), repeat=3)
+            if i <= j
+        )
+
+    left = law(assoc)
+    right = left if commutative else law(lambda i, j, k: assoc(k, i, j))
+    return False, left, right
+
+
+def _assert_laws_match_dense(a):
+    commutative = _is_commutative(a)
+    assert _associator_laws(a, commutative) == _dense_associator_laws(a, commutative)
+
+
+@pytest.mark.parametrize("field", [Q, F2, FieldSpec.prime(3), FieldSpec.prime(5)], ids=lambda f: f.token)
+def test_associator_laws_match_the_dense_kernel(field):
+    rng = random.Random(field.p or 0)
+    draw = (lambda: rng.randint(-2, 2)) if field.p is None else (lambda: rng.randrange(field.p))
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        density = rng.choice([0.05, 0.15, 0.4, 1.0])
+        table = {key: draw() for key in product(range(n), repeat=3) if rng.random() < density}
+        if rng.random() < 0.3:  # commutative tables take the right law from the left
+            table.update({(j, i, k): c for (i, j, k), c in list(table.items())})
+        a = Algebra(field, n, table)
+        _assert_laws_match_dense(a)
+        seen.add(_associator_laws(a, _is_commutative(a)))
+    assert {(True, True, True), (False, False, False)} <= seen
+    for b in (kpow(field, 6), truncated_polynomials(field, 6), componentwise(field, 6),
+              bowtie(dual_numbers(field), dual_numbers(field))):
+        _assert_laws_match_dense(b.algebra)
+
+
+def test_associator_laws_match_the_dense_kernel_on_one_sided_examples():
+    left_only = Algebra(F2, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (2, 0, 1): 1})
+    right_only = Algebra(F2, 3, {(0, 1, 2): 1, (1, 0, 2): 1, (1, 2, 0): 1})
+    for a, laws in ((left_only, (False, True, False)), (right_only, (False, False, True))):
+        _assert_laws_match_dense(a)
+        assert _associator_laws(a, _is_commutative(a)) == laws
+
+
+def test_property_flags_of_kpow_f5_40_is_fast():
+    # the dense kernel took about 0.8 s here; the sparse one needs well under a second
+    a = kpow(FieldSpec.prime(5), 40).algebra
+    start = time.perf_counter()
+    flags = property_flags(a)
+    assert time.perf_counter() - start < 1.0
+    assert (flags.associative, flags.left_alternative, flags.unital) == (True, True, False)

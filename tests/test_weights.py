@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from baric import (
     BaricAlgebra,
     CharacteristicObstruction,
     DimensionMismatch,
+    EnumerationTooLarge,
     FieldMismatch,
     FieldSpec,
     Matrix,
@@ -26,11 +28,12 @@ from baric import (
     random_baric,
     validate_weight,
 )
-from baric.catalog import componentwise, dual_numbers, scalar_action
+from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
 
 
 def test_validate_weight_examples():
@@ -274,3 +277,84 @@ def test_weight_of_a_foreign_element_is_refused():
         w(kpow(FieldSpec.prime(5), 3).algebra.element([1, 2, 3]))
     with pytest.raises(DimensionMismatch):
         w(kpow(F3, 2).algebra.element([1, 2]))
+
+
+def _scanned_weights(a):
+    """Every weight by the p^n scan, testing each pair on the FieldElement table."""
+    p, n = a.field.p, a.dim
+    rows = {}
+    for (i, j, k), c in a.table.items():
+        rows.setdefault((i, j), []).append((k, c.value))
+    return [
+        Weight(a.field, w)
+        for w in product(range(p), repeat=n)
+        if any(w) and all(
+            (sum(c * w[k] for k, c in rows.get((i, j), ())) - w[i] * w[j]) % p == 0
+            for i in range(n)
+            for j in range(n)
+        )
+    ]
+
+
+def _weight_search_inputs(field, n, seed):
+    """Random, random commutative unital, catalog and weightless sparse tables of dim n."""
+    rng = random.Random(seed)
+    p = field.p
+    density = rng.choice([0.1, 0.3, 0.7])
+    sparse = {
+        (i, j, k): rng.randrange(1, p)
+        for i, j, k in product(range(n), repeat=3)
+        if rng.random() < density
+    }
+    # constants only into later basis vectors: every w_i^2 = 0 forces w = 0
+    nilpotent = {
+        (i, j, k): rng.randrange(1, p)
+        for i, j, k in product(range(n), repeat=3)
+        if k > max(i, j) and rng.random() < density
+    }
+    return [
+        Algebra(field, n, sparse),
+        Algebra(field, n, nilpotent),
+        random_baric(field, n, seed=seed).algebra,
+        random_baric(field, n, commutative=True, unital=True, seed=seed).algebra,
+        kpow(field, n).algebra,
+        truncated_polynomials(field, n).algebra,
+        componentwise(field, n).algebra,
+    ]
+
+
+# dim 0 has no algebra to search (Algebra refuses it); the p^n scan bounds the dims over F5
+@pytest.mark.parametrize("field, max_dim", [(F2, 8), (F3, 8), (F5, 6)], ids=["F2", "F3", "F5"])
+def test_weight_search_matches_the_scan(field, max_dim):
+    for n in range(1, max_dim + 1):
+        for seed in range(3 if n < max_dim else 1):
+            for a in _weight_search_inputs(field, n, seed):
+                assert enumerate_weights(a) == _scanned_weights(a)
+    # the weightless tables have no weight at all
+    assert enumerate_weights(_weight_search_inputs(field, max_dim, 0)[1]) == []
+
+
+def test_weight_search_cap_counts_branch_nodes():
+    # kpow(F, n): w_0 = 0 forces w = 0 and w_0 = 1 forces w = (1, ..., 1), so
+    # two forced paths below the root. componentwise(F, n): after w_0 .. w_(i-1)
+    # = 0, w_i = 1 forces the rest to 0 and w_i = 0 branches again.
+    for field, n in ((F2, 3), (F3, 5), (F5, 4)):
+        cases = [
+            (kpow(field, n).algebra, 1 + 2 * n, 1),
+            (componentwise(field, n).algebra, 1 + n + n * (n + 1) // 2, n),
+        ]
+        for a, nodes, weights in cases:
+            assert len(enumerate_weights(a, cap=nodes)) == weights
+            with pytest.raises(EnumerationTooLarge, match=f"more than {nodes - 1} branch nodes"):
+                enumerate_weights(a, cap=nodes - 1)
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_weights(kpow(F2, 1).algebra, cap=0)
+
+
+def test_weight_search_on_a_dim_24_algebra_is_fast():
+    # 2^24 functionals are past the default cap; the branch search visits few nodes
+    b = random_baric(F2, 24, commutative=True, unital=True, seed=1)
+    start = time.perf_counter()
+    found = enumerate_weights(b.algebra)
+    assert time.perf_counter() - start < 1.0
+    assert b.weight in found
