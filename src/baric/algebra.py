@@ -262,11 +262,37 @@ def _basis_associators(by_pair: dict, n: int, p: int | None):
             for m, c in jk:
                 for t, d in by_pair.get((i, m), ()):
                     acc[kn + t] = acc.get(kn + t, 0) - c * d
-        if p is None:
-            return {key: v for key, v in acc.items() if v}
-        return {key: r for key, v in acc.items() if (r := v % p)}
+        return _sparse(acc, p)
 
     return block
+
+
+def _basis_commutators(by_pair: dict, n: int, p: int | None):
+    """The basis commutators of a table, one index i at a time.
+
+    Returns a function of i giving {k * n + t: [e_i, e_k]_t} with the
+    nonzero values only (reduced mod p over F_p), where [e_i, e_k]_t =
+    c[i,k,t] - c[k,i,t]; the same keys as a _basis_associators block.
+    """
+
+    def block(i: int) -> dict:
+        acc: dict[int, object] = {}
+        for k in range(n):
+            kn = k * n
+            for t, c in by_pair.get((i, k), ()):
+                acc[kn + t] = c
+            for t, c in by_pair.get((k, i), ()):
+                acc[kn + t] = acc.get(kn + t, 0) - c
+        return _sparse(acc, p)
+
+    return block
+
+
+def _sparse(acc: dict, p: int | None) -> dict:
+    """The nonzero values of a dict of raw values, reduced mod p over F_p."""
+    if p is None:
+        return {key: v for key, v in acc.items() if v}
+    return {key: r for key, v in acc.items() if (r := v % p)}
 
 
 def _left_alternative(block, n: int, p: int | None) -> bool:

@@ -10,9 +10,14 @@ The result carries a BowtieTag with the block split, so that
 factor-aware operations never have to guess it: the block embeddings of
 factor elements (embed) and subspaces (embed_subspace, whose inverse is
 project) and the ideal calculus. The factor weights are the blocks of w.
+bowtie_table builds the product's constants from raw factor data, so a
+document reader can test a claimed split without building the factors.
 
 The module also provides the closed forms for commutators and
-associators of the product, the family of weight-one idempotents built
+associators of the product (Lemmas 3.1 and 6.1), both on elements and as
+sparse basis blocks read from the factors only, in the layout of the
+product's own basis blocks (algebra._basis_commutators and
+_basis_associators), the family of weight-one idempotents built
 from factor idempotents, the structural isomorphisms (swap, regrouping,
 transport along a factor isomorphism), and the associativity
 characterization in terms of the scalar-action law x*y = w(y)*x. The
@@ -23,7 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, check_subspace, property_flags
+from .algebra import (
+    Algebra,
+    Element,
+    _basis_associators,
+    _basis_commutators,
+    _sparse,
+    check_subspace,
+    property_flags,
+)
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -47,17 +60,23 @@ def bowtie(b1: BaricAlgebra, b2: BaricAlgebra) -> BaricAlgebra:
     """Build (A1 bowtie A2, w1 bowtie w2) on the concatenated bases."""
     if b1.field is not b2.field:
         raise FieldMismatch("factors must share a field")
-    n1, n2 = b1.dim, b2.dim
-    table = dict(b1.algebra.entries())
-    for (i, j, k), c in b2.algebra.entries():
-        table[(n1 + i, n1 + j, n1 + k)] = c
     w1, w2 = b1.weight.values, b2.weight.values
+    table = bowtie_table(b1.algebra.entries(), w1, b2.algebra.entries(), w2)
+    weight = Weight(b1.field, w1 + w2)
+    return BaricAlgebra(Algebra(b1.field, b1.dim + b2.dim, table), weight, BowtieTag(b1.dim, b2.dim))
+
+
+def bowtie_table(entries1, w1: tuple, entries2, w2: tuple) -> dict:
+    """The product's raw constants {(i, j, k): c}, from each factor's raw entries and weight values."""
+    n1, n2 = len(w1), len(w2)
+    table = dict(entries1)
+    for (i, j, k), c in entries2:
+        table[(n1 + i, n1 + j, n1 + k)] = c
     for i in range(n1):
         table.update({(i, n1 + j, i): c for j, c in enumerate(w2) if c})
     for i in range(n1, n1 + n2):
         table.update({(i, j, i): c for j, c in enumerate(w1) if c})
-    weight = Weight(b1.field, w1 + w2)
-    return BaricAlgebra(Algebra(b1.field, n1 + n2, table), weight, BowtieTag(n1, n2))
+    return table
 
 
 def _block(b: BaricAlgebra, side: str) -> tuple[int, int]:
@@ -75,16 +94,21 @@ def _block(b: BaricAlgebra, side: str) -> tuple[int, int]:
 def factor(b: BaricAlgebra, side: str) -> BaricAlgebra:
     """Recover a factor from its block of the structure constants and of the weight."""
     lo, size = _block(b, side)
-    table = {
-        (i - lo, j - lo, k - lo): c
-        for (i, j, k), c in b.algebra.entries()
-        if lo <= i < lo + size and lo <= j < lo + size and lo <= k < lo + size
-    }
+    table = block_table(b.algebra, lo, size)
     names = None
     if b.algebra.basis_names is not None:
         names = b.algebra.basis_names[lo : lo + size]
     weight = Weight(b.field, b.weight.values[lo : lo + size])
     return BaricAlgebra(Algebra(b.field, size, table, names), weight)
+
+
+def block_table(a: Algebra, lo: int, size: int) -> dict:
+    """The raw constants {(i, j, k): c} of one block of coordinates, re-indexed from 0."""
+    return {
+        (i - lo, j - lo, k - lo): c
+        for (i, j, k), c in a.entries()
+        if lo <= i < lo + size and lo <= j < lo + size and lo <= k < lo + size
+    }
 
 
 def factors(b: BaricAlgebra) -> tuple[BaricAlgebra, BaricAlgebra]:
@@ -215,6 +239,64 @@ def _operand_values(b1: BaricAlgebra, b2: BaricAlgebra, operands) -> list[tuple[
             raise DimensionMismatch("components must be elements of the factors' algebras")
         out.append((x1.values, x2.values))
     return out
+
+
+def commutator_closed_blocks(b1: BaricAlgebra, b2: BaricAlgebra):
+    """The product's basis commutators from factor data only, as in _basis_commutators.
+
+    Returns a function of i giving {k * n + t: [e_i, e_k]_t} with the
+    nonzero values only. The commutator closed form on basis pairs: when
+    i and k lie in one factor, [e_i, e_k] is the factor's commutator;
+    across the two factors it is w_k e_i - w_i e_k.
+    """
+    n1, n, p = b1.dim, b1.dim + b2.dim, b1.field.p
+    w = b1.weight.values + b2.weight.values
+    inner = [_basis_commutators(b.algebra._by_pair, b.dim, p) for b in (b1, b2)]
+
+    def block(i: int) -> dict:
+        side = i >= n1
+        lo, size = (n1, n - n1) if side else (0, n1)
+        acc = _shifted(inner[side](i - lo), size, lo, n)
+        for k in range(n1) if side else range(n1, n):
+            acc[k * n + i], acc[k * n + k] = w[k], -w[i]
+        return _sparse(acc, p)
+
+    return block
+
+
+def associator_closed_blocks(b1: BaricAlgebra, b2: BaricAlgebra):
+    """The product's basis associators from factor data only, as in _basis_associators.
+
+    Returns a function of (i, j) giving {k * n + t: A(i,j,k)_t} with the
+    nonzero values only. The associator closed form on basis triples: the
+    result lies in the factor of i, and is zero unless k lies there too.
+    When j lies there as well, A(i,j,k) is the factor's basis associator;
+    when j lies in the other factor it is w_j (e_i e_k - w_k e_i).
+    """
+    n1, n, p = b1.dim, b1.dim + b2.dim, b1.field.p
+    w = b1.weight.values + b2.weight.values
+    inner = [_basis_associators(b.algebra._by_pair, b.dim, p) for b in (b1, b2)]
+
+    def block(i: int, j: int) -> dict:
+        side = i >= n1
+        lo, size = (n1, n - n1) if side else (0, n1)
+        if lo <= j < lo + size:
+            return _shifted(inner[side](i - lo, j - lo), size, lo, n)
+        by_pair = (b2 if side else b1).algebra._by_pair
+        acc: dict[int, object] = {}
+        for k in range(size):
+            kn = (lo + k) * n + lo
+            for t, c in by_pair.get((i - lo, k), ()):
+                acc[kn + t] = w[j] * c
+            acc[kn + i - lo] = acc.get(kn + i - lo, 0) - w[j] * w[lo + k]
+        return _sparse(acc, p)
+
+    return block
+
+
+def _shifted(block: dict, size: int, lo: int, n: int) -> dict:
+    """A factor's basis block {k * size + t: v} re-keyed to the product's {(lo + k) * n + lo + t: v}."""
+    return {(lo + key // size) * n + lo + key % size: v for key, v in block.items()}
 
 
 def idempotent_family(

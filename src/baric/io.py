@@ -23,8 +23,8 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra
-from .bowtie import bowtie, factors
-from .errors import DuplicateTriple, ParseError, WeightInvalid
+from .bowtie import block_table, bowtie_table
+from .errors import DuplicateTriple, ParseError
 from .fields import FieldSpec, parse_scalar
 from .linalg import Subspace, span
 from .weights import BaricAlgebra, BowtieTag, Weight
@@ -140,7 +140,11 @@ def document_to_algebra(doc) -> BaricAlgebra:
 
 
 def _read_provenance(prov, b: BaricAlgebra) -> None:
-    """Tag b with its bowtie split, once the product of its blocks rebuilds b."""
+    """Tag b with its bowtie split, once the bowtie table of its blocks is b's table.
+
+    No factor is built: b's weight is valid, and a valid weight on a bowtie
+    table is multiplicative on each block, which is nonzero.
+    """
     if not (isinstance(prov, dict) and isinstance(prov.get("bowtie"), dict)):
         raise ParseError("provenance: expected {'bowtie': {'left': int, 'right': int}}")
     split = prov["bowtie"]
@@ -151,13 +155,11 @@ def _read_provenance(prov, b: BaricAlgebra) -> None:
         raise ParseError(f"provenance: blocks {n1}+{n2} do not sum to dim {b.dim}")
     if not (any(b.weight.values[:n1]) and any(b.weight.values[n1:])):
         raise ParseError("provenance: a factor weight block is zero")
-    b.provenance = BowtieTag(n1, n2)
-    try:
-        rebuilt = bowtie(*factors(b)).algebra
-    except WeightInvalid:  # a factor block's weight is not multiplicative
-        rebuilt = None
-    if rebuilt != b.algebra:
+    w, a = b.weight.values, b.algebra
+    table = bowtie_table(block_table(a, 0, n1).items(), w[:n1], block_table(a, n1, n2).items(), w[n1:])
+    if table != dict(a.entries()):
         raise ParseError("provenance: multiplication table is not a bowtie product")
+    b.provenance = BowtieTag(n1, n2)
 
 
 def dumps(b: BaricAlgebra) -> str:

@@ -28,6 +28,8 @@ from . import io
 from .algebra import (
     Algebra,
     Element,
+    _basis_associators,
+    _basis_commutators,
     associator,
     change_basis,
     commutative_center,
@@ -36,8 +38,10 @@ from .algebra import (
 )
 from .bowtie import (
     associativity_character,
+    associator_closed_blocks,
     associator_closed_form,
     bowtie,
+    commutator_closed_blocks,
     commutator_closed_form,
     embed,
     idempotent_family,
@@ -452,31 +456,51 @@ def _check_p55(rng, t, cfg):
         )
 
 
-def _check_closed_form(rng, cfg, direct, closed_form, labels):
-    """Compare a closed form with direct computation on every basis tuple and one random tuple."""
+def _check_closed_form(rng, cfg, direct, closed_form, direct_blocks, closed_blocks, labels):
+    """Compare a closed form with direct computation on every basis tuple and one random tuple.
+
+    Both sides are multilinear, so the basis tuples decide the statement.
+    They are compared as sparse blocks: direct_blocks reads the product's
+    own table and closed_blocks (from bowtie) only the factors, each a
+    function of all but the last index giving {last * n + t: value}. The
+    random tuple goes through the element forms, direct and closed_form.
+    The first disagreement is reported in product(range(n), repeat=arity)
+    order, basis tuples before the random one.
+    """
     field = cfg.field or FieldSpec.prime(3)
     b1, b2 = _random_pair(rng, cfg, field)
     bow = bowtie(b1, b2)
-    n, arity = bow.dim, len(labels)
-    elements = [bow.basis_element(i) for i in range(n)]
-    elements += [_random_element(rng, bow) for _ in labels]
-    parts = [split_element(b1, b2, x) for x in elements]
-    index_tuples = list(product(range(n), repeat=arity))
-    index_tuples.append(tuple(range(n, n + arity)))
-    for indices in index_tuples:
-        args = [elements[i] for i in indices]
-        closed = closed_form(b1, b2, *[parts[i] for i in indices])
-        if direct(*args).values != tuple([c.value for c in closed]):
-            at = " ".join(f"{label}={x!r}" for label, x in zip(labels, args))
-            raise CheckFailure(f"{direct.__name__} closed form disagrees at {at}", b1, b2)
+    n = bow.dim
+    randoms = [_random_element(rng, bow) for _ in labels]
+    found = direct_blocks(bow.algebra._by_pair, n, field.p)
+    expected = closed_blocks(b1, b2)
+    for head in product(range(n), repeat=len(labels) - 1):
+        d, c = found(*head), expected(*head)
+        if d != c:
+            last = min(key for key in d.keys() | c.keys() if d.get(key) != c.get(key)) // n
+            _closed_form_failure(direct, labels, [bow.basis_element(i) for i in head + (last,)], b1, b2)
+    closed = closed_form(b1, b2, *[split_element(b1, b2, x) for x in randoms])
+    if direct(*randoms).values != tuple([c.value for c in closed]):
+        _closed_form_failure(direct, labels, randoms, b1, b2)
+
+
+def _closed_form_failure(direct, labels, args, b1, b2):
+    at = " ".join(f"{label}={x!r}" for label, x in zip(labels, args))
+    raise CheckFailure(f"{direct.__name__} closed form disagrees at {at}", b1, b2)
 
 
 def _check_l31(rng, t, cfg):
-    _check_closed_form(rng, cfg, commutator, commutator_closed_form, "xy")
+    _check_closed_form(
+        rng, cfg, commutator, commutator_closed_form,
+        _basis_commutators, commutator_closed_blocks, "xy",
+    )
 
 
 def _check_l61(rng, t, cfg):
-    _check_closed_form(rng, cfg, associator, associator_closed_form, "xyz")
+    _check_closed_form(
+        rng, cfg, associator, associator_closed_form,
+        _basis_associators, associator_closed_blocks, "xyz",
+    )
 
 
 def _check_p61(rng, t, cfg):

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,8 @@ from baric import (
     transport_iso,
     validate_weight,
 )
-from baric.bowtie import embed_subspace
+from baric.algebra import _basis_associators, _basis_commutators
+from baric.bowtie import associator_closed_blocks, commutator_closed_blocks, embed_subspace
 from baric.weights import BaricAlgebra
 from baric.catalog import dual_numbers, scalar_action
 from test_fields import _assert_canonical
@@ -50,6 +53,7 @@ from test_lattice_primitives import _random_vectors, reference_product
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
 F4099 = FieldSpec.prime(4099)  # above the interning limit: wrap takes the % p path
 
 
@@ -621,3 +625,38 @@ def test_embed_subspace_refusals():
     assert type(bad_side.value) is ValueError
     with pytest.raises(NotABowtie):
         embed_subspace(kpow(F3, 1), "left", Subspace.full(F2, 5))
+
+
+def _expand(blocks, field, n, *operands):
+    """sum over basis tuples of the operands' coordinates times the basis blocks."""
+    *heads, last = [x.values for x in operands]
+    out = [0] * n
+    for head in product(range(n), repeat=len(heads)):
+        s = math.prod(v[i] for v, i in zip(heads, head))
+        if s:
+            for key, c in blocks(*head).items():
+                k, t = divmod(key, n)
+                out[t] += s * last[k] * c
+    return field.wrap(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000))
+def test_block_forms_expand_to_the_element_closed_forms(field, d1, d2, seed):
+    """The basis blocks L3.1 and L6.1 compare are the element closed forms on
+    basis tuples, and the product's own basis commutators and associators."""
+    b1, b2 = _baric_factor(field, d1, seed), _baric_factor(field, d2, seed + 1)
+    bow = bowtie(b1, b2)
+    n, p, by_pair = bow.dim, field.p, bow.algebra._by_pair
+    rng = random.Random(seed)
+    x, y, z = (bow.element(_draw_coords(rng, field, n)) for _ in range(3))
+    sx, sy, sz = (split_element(b1, b2, e) for e in (x, y, z))
+    commutators, associators = commutator_closed_blocks(b1, b2), associator_closed_blocks(b1, b2)
+    assert _expand(commutators, field, n, x, y) == commutator_closed_form(b1, b2, sx, sy)
+    assert _expand(associators, field, n, x, y, z) == associator_closed_form(b1, b2, sx, sy, sz)
+    direct_commutators = _basis_commutators(by_pair, n, p)
+    direct_associators = _basis_associators(by_pair, n, p)
+    for i in range(n):
+        assert commutators(i) == direct_commutators(i)
+        for j in range(n):
+            assert associators(i, j) == direct_associators(i, j)

@@ -19,7 +19,7 @@ from baric import (
     random_rational_baric,
     span_of,
 )
-from baric import io
+from baric import io, weights
 from baric.catalog import componentwise, dual_numbers, scalar_action
 from baric.cli import main
 
@@ -126,6 +126,17 @@ def test_provenance_round_trip_and_validation():
             io.document_to_algebra(doc)
         del doc["provenance"]
         assert io.document_to_algebra(doc).dim == 4, name
+
+
+def test_a_tagged_load_validates_the_weight_once(monkeypatch):
+    # the provenance is checked on the document's table; no factor is built
+    b = bowtie(random_baric(F3, 3, seed=1), random_baric(F3, 4, seed=2))
+    text = io.dumps(b)
+    calls = []
+    validate = weights.validate_weight
+    monkeypatch.setattr(weights, "validate_weight", lambda a, w: calls.append(1) or validate(a, w))
+    assert io.loads(text) == b
+    assert len(calls) == 1
 
 
 SQUARE_WITH_PROVENANCE = dict(FIELD_SQUARE_DOC, provenance={"bowtie": {"left": 1, "right": 1}})

@@ -24,6 +24,7 @@ from baric import (
     validate_weight,
 )
 from baric import io, propcheck, weights
+from baric.bowtie import associator_closed_blocks, commutator_closed_blocks
 from baric.weights import BaricAlgebra
 
 F2 = FieldSpec.prime(2)
@@ -146,11 +147,33 @@ def _commutator_form_without_w2c2(b1, b2, x, y):
     return left.coords + right.coords
 
 
-def _left_factors(pid, trials, seed=0):
-    """The left factor each closed-form trial draws, replayed from the check's rng."""
+def _commutator_blocks_without_w2c2(b1, b2):
+    """commutator_closed_blocks with the same w2(c2) a1 term left out: w_k e_i for i left, k right."""
+    blocks = commutator_closed_blocks(b1, b2)
+    n1, n, p = b1.dim, b1.dim + b2.dim, b1.field.p
+
+    def block(i):
+        out = dict(blocks(i))
+        for k in range(n1, n) if i < n1 else ():
+            key = k * n + i
+            out[key] = (out.get(key, 0) - b2.weight.values[k - n1]) % p
+        return {key: v for key, v in out.items() if v}
+
+    return block
+
+
+def _associator_blocks_without_w2p2(b1, b2):
+    """associator_closed_blocks with the same w2(p2)(a1 c1 - w1(c1) a1) term left out:
+    the blocks with i in the left factor and j in the right are empty."""
+    blocks = associator_closed_blocks(b1, b2)
+    return lambda i, j: {} if i < b1.dim <= j else blocks(i, j)
+
+
+def _drawn_pairs(pid, trials, seed=0):
+    """The factor pair each closed-form trial draws, replayed from the check's rng."""
     for t in range(trials):
         rng = random.Random(f"{pid}:{seed}:{t}")
-        yield propcheck._random_pair(rng, RunConfig(), F3)[0]
+        yield propcheck._random_pair(rng, RunConfig(), F3)
 
 
 def _assert_named_counterexample(report, labels):
@@ -163,6 +186,7 @@ def _assert_named_counterexample(report, labels):
 def test_l31_catches_a_dropped_term(monkeypatch):
     # w2(c2) a1 is nonzero at a1 = e_0, c2 = e_0 in every trial (both weights start with 1)
     monkeypatch.setattr(propcheck, "commutator_closed_form", _commutator_form_without_w2c2)
+    monkeypatch.setattr(propcheck, "commutator_closed_blocks", _commutator_blocks_without_w2c2)
     report = check("L3.1", trials=3)
     assert report.failures == 3
     _assert_named_counterexample(report, "xy")
@@ -173,12 +197,44 @@ def test_l61_catches_a_dropped_term(monkeypatch):
     # the left factor obeys x*y = w(y)*x (as every one-dimensional factor does), so
     # the mutant is wrong on precisely the other trials, and each of them must fail.
     monkeypatch.setattr(propcheck, "associator_closed_form", _associator_form_without_w2p2)
+    monkeypatch.setattr(propcheck, "associator_closed_blocks", _associator_blocks_without_w2p2)
     trials = 10
-    wrong = sum(not is_scalar_action(b) for b in _left_factors("L6.1", trials))
+    wrong = sum(not is_scalar_action(b1) for b1, _ in _drawn_pairs("L6.1", trials))
     assert 0 < wrong < trials
     report = check("L6.1", trials=trials)
     assert report.failures == wrong
     _assert_named_counterexample(report, "xyz")
+
+
+def _associator_blocks_with_one_flipped_sign(b1, b2):
+    """associator_closed_blocks with the sign of w_j w_k e_i flipped in the block (i, j) = (0, n1) only."""
+    blocks = associator_closed_blocks(b1, b2)
+    n1, n, p = b1.dim, b1.dim + b2.dim, b1.field.p
+    w = b1.weight.values + b2.weight.values
+
+    def block(i, j):
+        out = dict(blocks(i, j))
+        for k in range(n1) if (i, j) == (0, n1) else ():
+            out[k * n] = (out.get(k * n, 0) + 2 * w[j] * w[k]) % p
+        return {key: v for key, v in out.items() if v}
+
+    return block
+
+
+def test_l61_names_the_basis_tuple_of_one_wrong_cross_block(monkeypatch):
+    # w_0 = w_n1 = 1, so over F3 the block (0, n1) is off by 2 e_0 at k = 0 in every
+    # trial, and every earlier basis triple is right; the element forms are not patched
+    monkeypatch.setattr(propcheck, "associator_closed_blocks", _associator_blocks_with_one_flipped_sign)
+    report = check("L6.1", trials=5, seed=4)
+    assert report.failures == 5
+    b1, b2 = next(_drawn_pairs("L6.1", 1, seed=4))
+    assert (b1.dim, b2.dim) == (3, 2)
+    bow = bowtie(b1, b2)
+    x, y, z = (bow.basis_element(i) for i in (0, b1.dim, 0))
+    assert report.first_counterexample == (
+        f"trial=0\nassociator closed form disagrees at x={x!r} y={y!r} z={z!r}\n"
+        "left factor:\n" + io.dumps(b1) + "right factor:\n" + io.dumps(b2)
+    )
 
 
 def _bowtie_with_doubled_cross_terms(b1, b2):
