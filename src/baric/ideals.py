@@ -12,15 +12,18 @@ DimensionMismatch.
 Exact decisions (ideal lattices, decomposability) are only offered over
 prime fields; over the rationals decomposability is reported as
 undecided. Ideal lattices test every subspace, within the enumeration
-cap. Decomposability first tries a certificate from the endomorphism
-ring of Ker w, which visits no subspace and needs no cap, and only then
-a capped search for the first witness pair in enumeration order.
+cap. Decomposability first tries two certificates from the endomorphism
+ring E of Ker w, E the scalars or E commutative and local, which visit
+no subspace and need no cap, and only then a capped search for the first
+witness pair in enumeration order.
 
 Images of basis vectors come from Algebra.times_basis and membership
 from linalg.raw_residue, both on raw values as a Subspace stores its rows.
-The module's own arithmetic is the spin-up mod p in _commutant_dim: it
+The module's own arithmetic is mod p: the spin-up in _commutant_basis
 spins a standard basis of V under the multiplication maps and solves for
-the images of its seeds, on linalg's sparse echelon rows.
+the images of its seeds, on linalg's sparse echelon rows, and the
+Frobenius test in _is_local_commutative takes p-th powers of its d x d
+matrices.
 """
 
 from __future__ import annotations
@@ -246,13 +249,14 @@ def _times(x: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
-def _commutant_dim(a: Algebra, v: Subspace) -> int:
-    """dim E for E = End_M(V), V a two-sided ideal of `a` over a prime field.
+def _commutant_basis(a: Algebra, v: Subspace) -> list[list[list[int]]]:
+    """A basis of E = End_M(V), V a two-sided ideal of `a` over a prime field.
 
     M is generated by the maps L_j(x) = e_j * x and R_j(x) = x * e_j
     restricted to V, each read as a d x d matrix G in V's RREF coordinates
     (a vector of V is the sum of its entries at V.pivots times the matching
-    rows); E is {X : XG = GX for every G}.
+    rows); E is {X : XG = GX for every G}, and each basis element is a d x d
+    matrix X mod p.
 
     Standard-basis spin-up (Schneider, JSC 1990): the unit vectors u_i of V
     are spun in order, skipping those already in the span, until the spins
@@ -261,10 +265,13 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
     rows y_t = u_i X, as b_k X = y_t M_k. Every product b_k G that is
     already in the span, b_k G = sum a_m b_m, gives d equations
     y_t M_k G - sum a_m y_t(m) M_m = 0, and E is their solution space in
-    s * d unknowns. The count stops at rank s * d - 1, because the scalars
-    always lie in E. dim V = 0 gives 0.
+    s * d unknowns: back-substitution gives one solution y per free unknown,
+    and X = B^-1 Y, with rows b_k in B and y_t M_k in Y. The count stops at
+    rank s * d - 1, because the scalars always lie in E, and then E is the
+    identity's span. dim V = 0 gives no basis.
     """
     p, d = a.field.p, v.dim
+    identity = [[int(r == c) for c in range(d)] for r in range(d)]
     gens = []
     for j in range(a.dim):
         for left in (False, True):
@@ -290,14 +297,14 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
         if not rest or min(rest) >= d:
             continue  # u_i is in the span
         units.append(i)
-        grow(rest, [[int(r == c) for c in range(d)] for r in range(d)], len(units) - 1)
+        grow(rest, identity, len(units) - 1)
         while k < len(words):
             word, t = words[k], seed_of[k]
             for g in gens:
                 # the rank never passes s * d - 1; once there, only the spin can add
                 saturated = len(equations) == len(units) * d - 1
                 if saturated and len(words) == d:
-                    return 1
+                    return [identity]
                 (bg,) = _times([word[units[t]]], g, p)  # b_k G
                 rest = echelon_reduce(spun, dict(enumerate(bg)), p)
                 is_new = bool(rest) and min(rest) < d
@@ -317,7 +324,50 @@ def _commutant_dim(a: Algebra, v: Subspace) -> int:
                     if eq:
                         echelon_add(equations, eq, p)
             k += 1
-    return len(units) * d - len(equations)
+    # row m of B^-1 holds the c of u_m = sum c_k b_k, read off the spin rows as (0 | c)
+    inverse = [echelon_reduce(spun, {m: 1}, p) for m in range(d)]
+    inverse = [[c.get(d + k, 0) for k in range(d)] for c in inverse]
+    leads = sorted(equations, reverse=True)
+    basis = []
+    for free in range(len(units) * d):
+        if free in equations:
+            continue
+        y = [0] * (len(units) * d)
+        y[free] = 1
+        for lead in leads:  # the other keys of a row lie above its lead, and y[lead] is still 0
+            y[lead] = -sum(x * y[u] for u, x in equations[lead].items()) % p
+        rows = [_times([y[t * d:t * d + d]], word, p)[0] for word, t in zip(words, seed_of)]
+        basis.append(_times(inverse, rows, p))
+    return basis
+
+
+def _power(x: list[list[int]], n: int, p: int) -> list[list[int]]:
+    """x^n mod p for n >= 1, squaring for each binary digit of n after the first."""
+    result = x
+    for digit in bin(n)[3:]:
+        result = _times(result, result, p)
+        if digit == "1":
+            result = _times(result, x, p)
+    return result
+
+
+def _is_local_commutative(basis: list[list[list[int]]], p: int) -> bool:
+    """Is the ring spanned by `basis` (d x d matrices mod p) commutative and local?
+
+    Berlekamp (1967): in a commutative F_p-algebra E, X -> X^p is F_p-linear
+    and the dimension of its fixed space is the number of local factors of E.
+    So E is local when the images X^p - X of the basis have rank dim E - 1;
+    the scalars, with X^p = X, are. No basis spans no ring, and gives False.
+    """
+    if any(_times(x, y, p) != _times(y, x, p) for i, x in enumerate(basis) for y in basis[i + 1:]):
+        return False
+    images: dict[int, dict[int, int]] = {}
+    for x in basis:
+        xp, d = _power(x, p, p), len(x)
+        row = echelon_reduce(images, {r * d + c: xp[r][c] - x[r][c] for r in range(d) for c in range(d)}, p)
+        if row:
+            echelon_add(images, row, p)
+    return len(basis) - len(images) == 1
 
 
 def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
@@ -329,14 +379,22 @@ def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
     search is exhaustive, and an algebra with no idempotent of weight one
     gets NO_WEIGHT1_IDEMPOTENT. Otherwise the decision is exact:
 
-    - Certificate. The ideals inside V = Ker w are the subspaces every
-      e_j * (.) and (.) * e_j maps into itself. If the ring E of linear
-      maps of V commuting with all of those is just the scalars, V is
-      INDECOMPOSABLE: by Fitting's lemma the projection of a splitting
-      V = N1 + N2 would be a non-scalar element of E. No subspace is
-      visited, and the cap does not apply.
-    - Witness search. Otherwise the cap bounds the subspaces of V (the
-      search may visit nearly all of them; see check_subspace_cap). For
+    - Scalars. The ideals inside V = Ker w are the subspaces every
+      e_j * (.) and (.) * e_j maps into itself. Let E be the ring of
+      linear maps of V commuting with all of those. By Fitting's lemma
+      the projection of a splitting V = N1 + N2 would be an idempotent of
+      E other than 0 and 1, so if E is just the scalars, V is
+      INDECOMPOSABLE.
+    - Local E. Otherwise, if E is commutative and X -> X^p - X has a
+      kernel of dimension 1 on it, E is local (Berlekamp: that kernel
+      has one dimension per local factor), its only idempotents are 0
+      and 1, and V is INDECOMPOSABLE. This covers the chains K[x]/(x^n),
+      where E = K[N]/(N^(n-1)). One Frobenius test decides both
+      certificates, as the scalars are local.
+      Neither certificate visits a subspace, and the cap does not apply.
+    - Witness search. Otherwise (E not commutative, or with several local
+      factors) the cap bounds the subspaces of V (the search may visit
+      nearly all of them; see check_subspace_cap). For
       k = 1 .. dim V // 2 the ideals of dimension dim V - k are listed
       once and those of dimension k are walked lazily, both in
       enumeration order. The witness is the first pair with n1 & n2 = 0,
@@ -352,7 +410,7 @@ def decomposability(b: BaricAlgebra, cap: int | None = None) -> Decomposability:
     if idem is None:
         return Decomposability(DecompOutcome.NO_WEIGHT1_IDEMPOTENT)
     a, kernel = b.algebra, b.kernel()
-    if _commutant_dim(a, kernel) == 1:
+    if _is_local_commutative(_commutant_basis(a, kernel), b.field.p):
         return Decomposability(DecompOutcome.INDECOMPOSABLE, idem)
     check_subspace_cap(kernel, cap)
     d = kernel.dim

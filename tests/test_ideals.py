@@ -35,7 +35,7 @@ from baric import (
     span_of,
 )
 from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
-from baric.ideals import KernelIdealBijection, _commutant_dim
+from baric.ideals import KernelIdealBijection, _commutant_basis, _is_local_commutative
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -388,6 +388,62 @@ def test_decomposability_matches_lattice_search_on_products():
     assert_matches_reference(bowtie(dual_numbers(F3), componentwise(F3, 2)))
 
 
+def _endomorphism_ring_is_local(b):
+    """(dim E > 1, E commutative and local) for E = End_M(Ker w)."""
+    basis = _commutant_basis(b.algebra, b.kernel())
+    return len(basis) > 1, _is_local_commutative(basis, b.field.p)
+
+
+@pytest.mark.parametrize("field, max_n", [(F2, 7), (F3, 6), (F5, 4)])
+def test_decomposability_matches_lattice_search_on_chains(field, max_n):
+    # K[x]/(x^n): E = K[N]/(N^(n-1)) is local, so the Frobenius test certifies it
+    for n in range(1, max_n + 1):
+        b = truncated_polynomials(field, n)
+        if n >= 3:
+            assert _endomorphism_ring_is_local(b) == (True, True)
+        assert_matches_reference(b)
+
+
+def _chain_times_line(field, n):
+    """K[x]/(x^n) x K as a ring, weighted by the chain's constant term.
+
+    Ker w splits into the ideal (x) of the chain and the line of (0, 1), and
+    E = K[N]/(N^(n-1)) x K is commutative, of dimension n, and not local.
+    """
+    table = {(i, j, i + j): 1 for i in range(n) for j in range(n) if i + j < n}
+    table[n, n, n] = 1
+    return BaricAlgebra(Algebra(field, n + 1, table), Weight(field, [1] + [0] * n))
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_decomposability_matches_lattice_search_on_chain_products(field):
+    for n1, n2 in ((2, 2), (2, 3), (3, 3)):
+        chain = truncated_polynomials(field, n2)
+        assert_matches_reference(bowtie(truncated_polynomials(field, n1), chain))
+        assert_matches_reference(bowtie(componentwise(field, n1), chain))
+    # dim E > 1 and E not local: the search finds the witness
+    for b in (componentwise(field, 3), componentwise(field, 4), _chain_times_line(field, 3)):
+        assert _endomorphism_ring_is_local(b) == (True, False)
+        assert_matches_reference(b)
+
+
+def test_frobenius_test_refuses_a_non_commutative_ring():
+    # I, E01, E10 and [[0, 1], [1, 1]] span M_2(F_2), which holds the idempotent
+    # E00 and is not local; X^2 - X has rank 3 on them, so only the
+    # commutativity test keeps the Frobenius count from certifying the span
+    basis = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 1]]]
+    assert not _is_local_commutative(basis, 2)
+    k3 = kpow(F2, 3)  # E = M_2(F_2)
+    assert not _is_local_commutative(_commutant_basis(k3.algebra, k3.kernel()), 2)
+
+
+@pytest.mark.parametrize("unital", [False, True])
+def test_decomposability_matches_lattice_search_on_commutative_f5(unital):
+    for n in range(1, 6):
+        for seed in range(8):
+            assert_matches_reference(random_baric(F5, n, commutative=True, unital=unital, seed=seed))
+
+
 def _brute_force_commutant_count(a, v):
     """Number of d x d matrices X over F_p with XG = GX for every generator G.
 
@@ -440,7 +496,21 @@ def test_commutant_dim_matches_brute_force_count(field_and_max, data):
         flags = {"commutative": kind != "general", "unital": kind == "commutative_unital"}
         b = random_baric(field, n, seed=data.draw(st.integers(0, 10_000)), **flags)
     kernel = b.kernel()
-    assert field.p ** _commutant_dim(b.algebra, kernel) == _brute_force_commutant_count(b.algebra, kernel)
+    assert field.p ** len(_commutant_basis(b.algebra, kernel)) == _brute_force_commutant_count(b.algebra, kernel)
+
+
+def _generators(a, v):
+    """e_j * (.) and (.) * e_j on V as d x d matrices mod p in V's RREF coordinates."""
+    p = a.field.p
+    return [
+        [[image[pc] % p for pc in v.pivots] for image in (a.times_basis(row, j, left) for row in v.rows)]
+        for j in range(a.dim)
+        for left in (False, True)
+    ]
+
+
+def _mul(x, y, p):
+    return [[sum(x[r][m] * y[m][c] for m in range(len(y))) % p for c in range(len(y[0]))] for r in range(len(x))]
 
 
 def _d_squared_commutant_dim(a, v):
@@ -478,10 +548,16 @@ def _d_squared_commutant_dim(a, v):
 
 
 def _assert_commutant_dims_agree(b):
-    """The spin-up and the d^2 system agree on Ker w and on all of A."""
+    """On Ker w and on all of A, the spin-up basis commutes with every generator,
+    is linearly independent and has as many elements as the d^2 system's dim E."""
     whole = span_of(b.field, b.dim, [b.algebra.basis_element(j).coords for j in range(b.dim)])
+    p = b.field.p
     for v in (b.kernel(), whole):
-        assert _commutant_dim(b.algebra, v) == _d_squared_commutant_dim(b.algebra, v)
+        basis = _commutant_basis(b.algebra, v)
+        assert len(basis) == _d_squared_commutant_dim(b.algebra, v)
+        for g in _generators(b.algebra, v):
+            assert all(_mul(x, g, p) == _mul(g, x, p) for x in basis)
+        assert span_of(b.field, v.dim**2, [[e for row in x for e in row] for x in basis]).dim == len(basis)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5])
@@ -514,8 +590,8 @@ def test_commutant_dim_of_spaces_of_dimension_0_and_1():
     # Ker w is 0 in the dim-1 algebras and a line in the dim-2 ones
     for b in (kpow(F2, 1), truncated_polynomials(F3, 1), kpow(F5, 2), dual_numbers(F3)):
         _assert_commutant_dims_agree(b)
-    assert _commutant_dim(kpow(F2, 1).algebra, kpow(F2, 1).kernel()) == 0
-    assert _commutant_dim(kpow(F5, 2).algebra, kpow(F5, 2).kernel()) == 1
+    assert _commutant_basis(kpow(F2, 1).algebra, kpow(F2, 1).kernel()) == []
+    assert _commutant_basis(kpow(F5, 2).algebra, kpow(F5, 2).kernel()) == [[[1]]]
 
 
 def test_commutant_dim_of_a_dim_19_kernel_is_fast():
@@ -524,7 +600,7 @@ def test_commutant_dim_of_a_dim_19_kernel_is_fast():
     kernel = b.kernel()
     assert kernel.dim == 19
     start = time.perf_counter()
-    assert _commutant_dim(b.algebra, kernel) == 1
+    assert len(_commutant_basis(b.algebra, kernel)) == 1
     assert time.perf_counter() - start < 1.0
 
 

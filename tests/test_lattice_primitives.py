@@ -299,7 +299,7 @@ def test_dim10_indecomposable_kernel_is_certified_past_the_cap(monkeypatch, tmp_
     # Ker w has 8.3e6 subspaces, past the 2^20 cap, but its endomorphism
     # ring is the scalars, so no subspace is needed for the verdict
     b = random_baric(F2, 10, commutative=True, unital=True, seed=1)
-    assert ideals._commutant_dim(b.algebra, b.kernel()) == 1
+    assert len(ideals._commutant_basis(b.algebra, b.kernel())) == 1
     with pytest.raises(EnumerationTooLarge):
         kernel_ideals(b)
     visited = []
@@ -307,6 +307,24 @@ def test_dim10_indecomposable_kernel_is_certified_past_the_cap(monkeypatch, tmp_
     path = tmp_path / "random10.json"
     io.save(b, path)
     assert main(["decompose", str(path)]) == 0
+    assert "outcome=indecomposable" in capsys.readouterr().out.splitlines()
+    assert visited == []
+
+
+@pytest.mark.parametrize("field, n", [(F2, 10), (F3, 8)])
+def test_truncated_chain_is_certified_past_the_cap(monkeypatch, tmp_path, capsys, field, n):
+    # K[x]/(x^n) has a chain of kernel ideals, but Ker w has more subspaces
+    # than the 2^20 cap; its endomorphism ring K[N]/(N^(n-1)) is local
+    b = truncated_polynomials(field, n)
+    with pytest.raises(EnumerationTooLarge):
+        kernel_ideals(b)
+    visited = []
+    monkeypatch.setattr(ideals, "is_two_sided_ideal", lambda a, s: visited.append(s))
+    path = tmp_path / f"trunc{field.p}_{n}.json"
+    io.save(b, path)
+    start = time.perf_counter()
+    assert main(["decompose", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
     assert "outcome=indecomposable" in capsys.readouterr().out.splitlines()
     assert visited == []
 
