@@ -234,11 +234,6 @@ class PropertyFlags:
     unit: Element | None
 
 
-def _is_commutative(a: Algebra) -> bool:
-    by_pair = a._by_pair
-    return all(by_pair.get((j, i)) == entries for (i, j), entries in by_pair.items())
-
-
 def _basis_associators(by_pair: dict, n: int, p: int | None):
     """The basis associators of a table, one pair (i, j) at a time, computed when first asked.
 
@@ -268,7 +263,7 @@ def _basis_associators(by_pair: dict, n: int, p: int | None):
 
 
 def _basis_commutators(by_pair: dict, n: int, p: int | None):
-    """The basis commutators of a table, one index i at a time.
+    """The basis commutators of a table, one index i at a time: the one reading of [e_i, e_k].
 
     Returns a function of i giving {k * n + t: [e_i, e_k]_t} with the
     nonzero values only (reduced mod p over F_p), where [e_i, e_k]_t =
@@ -334,16 +329,17 @@ def _associator_laws(a: Algebra, commutative: bool) -> tuple[bool, bool, bool]:
 
 
 def _find_unit(a: Algebra) -> Element | None:
-    # solve u*e_j = e_j and e_j*u = e_j as one linear system in u
+    # solve u*e_j = e_j and e_j*u = e_j as one linear system in u, building only
+    # the equations with an entry or a right-hand side of 1 (the units)
     n = a.dim
-    rows = [[0] * n for _ in range(2 * n * n)]
+    units = {2 * j * (n + 1) + s for j in range(n) for s in (0, 1)}
+    rows = {r: [0] * n for r in units}
     for (i, j, k), c in a.entries():
-        rows[2 * (j * n + k)][i] = c  # (u e_j)_k gets u_i c[i,j,k]
-        rows[2 * (i * n + k) + 1][j] = c  # (e_i u)_k gets u_j c[i,j,k]
-    rhs = [int(j == k) for j in range(n) for k in range(n) for _ in range(2)]
+        rows.setdefault(2 * (j * n + k), [0] * n)[i] = c  # (u e_j)_k gets u_i c[i,j,k]
+        rows.setdefault(2 * (i * n + k) + 1, [0] * n)[j] = c  # (e_i u)_k gets u_j c[i,j,k]
     # the system has rank at most n + 1: drop repeated equations and 0 = 0
     # before eliminating; 0 = 1 means there is no unit
-    system = dict.fromkeys(zip(map(tuple, rows), rhs))
+    system = dict.fromkeys((tuple(rows[r]), int(r in units)) for r in sorted(rows))
     if any(b and not any(row) for row, b in system):
         return None
     system = [(row, b) for row, b in system if any(row)]
@@ -357,13 +353,13 @@ def _find_unit(a: Algebra) -> Element | None:
 def property_flags(a: Algebra) -> PropertyFlags:
     """Decide commutativity, associativity, alternativity and unitality.
 
-    Commutativity compares each basis pair's constants with its mirror's.
+    Commutativity asks that every basis commutator block be empty.
     Associativity and both alternative laws come from one kernel over the
     basis associators, exact over every field (see _associator_laws). The
     unit is found by solving a linear system since it need not be a basis
     vector.
     """
-    commutative = _is_commutative(a)
+    commutative = not any(map(_basis_commutators(a._by_pair, a.dim, a.field.p), range(a.dim)))
     associative, left, right = _associator_laws(a, commutative)
     unit = _find_unit(a)
     return PropertyFlags(
@@ -387,14 +383,15 @@ def check_subspace(a: Algebra, s: Subspace) -> None:
 def commutative_center(a: Algebra) -> Subspace:
     """Elements commuting with the whole algebra, as a canonical subspace.
 
-    Computed as the kernel of the stacked maps x -> x*e_j - e_j*x.
+    The kernel of the matrix whose column i is the _basis_commutators block
+    of e_i, built from its nonzero rows only, in key order.
     """
-    n = a.dim
-    rows = [[0] * n for _ in range(n * n)]
-    for (i, j, k), c in a.entries():
-        rows[j * n + k][i] += c  # (x e_j - e_j x)_k gets x_i (c[i,j,k] - c[j,i,k])
-        rows[i * n + k][j] -= c
-    basis = kernel_basis(Matrix._raw(a.field, rows, n))
+    n, rows = a.dim, {}
+    block = _basis_commutators(a._by_pair, n, a.field.p)
+    for i in range(n):
+        for key, v in block(i).items():
+            rows.setdefault(key, [0] * n)[i] = v
+    basis = kernel_basis(Matrix._raw(a.field, [rows[key] for key in sorted(rows)], n))
     return span(a.field, n, basis)
 
 

@@ -241,23 +241,27 @@ def _operand_values(b1: BaricAlgebra, b2: BaricAlgebra, operands) -> list[tuple[
     return out
 
 
+def _direct_sum(b1: BaricAlgebra, b2: BaricAlgebra) -> dict:
+    """The raw table of A1 (+) A2 in the product's indices, grouped by basis pair as Algebra._by_pair."""
+    return {(lo + i, lo + j): tuple([(lo + k, c) for k, c in row])
+            for lo, b in ((0, b1), (b1.dim, b2)) for (i, j), row in b.algebra._by_pair.items()}
+
+
 def commutator_closed_blocks(b1: BaricAlgebra, b2: BaricAlgebra):
     """The product's basis commutators from factor data only, as in _basis_commutators.
 
     Returns a function of i giving {k * n + t: [e_i, e_k]_t} with the
-    nonzero values only. The commutator closed form on basis pairs: when
-    i and k lie in one factor, [e_i, e_k] is the factor's commutator;
-    across the two factors it is w_k e_i - w_i e_k.
+    nonzero values only. The commutator closed form on basis pairs: in one
+    factor, [e_i, e_k] is read off the direct sum of the factor tables
+    (_direct_sum); across the two factors it is w_k e_i - w_i e_k.
     """
     n1, n, p = b1.dim, b1.dim + b2.dim, b1.field.p
     w = b1.weight.values + b2.weight.values
-    inner = [_basis_commutators(b.algebra._by_pair, b.dim, p) for b in (b1, b2)]
+    inner = _basis_commutators(_direct_sum(b1, b2), n, p)
 
     def block(i: int) -> dict:
-        side = i >= n1
-        lo, size = (n1, n - n1) if side else (0, n1)
-        acc = _shifted(inner[side](i - lo), size, lo, n)
-        for k in range(n1) if side else range(n1, n):
+        acc = inner(i)
+        for k in range(n1) if i >= n1 else range(n1, n):
             acc[k * n + i], acc[k * n + k] = w[k], -w[i]
         return _sparse(acc, p)
 
@@ -270,33 +274,26 @@ def associator_closed_blocks(b1: BaricAlgebra, b2: BaricAlgebra):
     Returns a function of (i, j) giving {k * n + t: A(i,j,k)_t} with the
     nonzero values only. The associator closed form on basis triples: the
     result lies in the factor of i, and is zero unless k lies there too.
-    When j lies there as well, A(i,j,k) is the factor's basis associator;
-    when j lies in the other factor it is w_j (e_i e_k - w_k e_i).
+    When j lies there as well, A(i,j,k) is read off the direct sum of the factor
+    tables (_direct_sum); otherwise it is w_j (e_i e_k - w_k e_i), from the same table.
     """
     n1, n, p = b1.dim, b1.dim + b2.dim, b1.field.p
     w = b1.weight.values + b2.weight.values
-    inner = [_basis_associators(b.algebra._by_pair, b.dim, p) for b in (b1, b2)]
+    by_pair = _direct_sum(b1, b2)
+    inner = _basis_associators(by_pair, n, p)
 
     def block(i: int, j: int) -> dict:
-        side = i >= n1
-        lo, size = (n1, n - n1) if side else (0, n1)
-        if lo <= j < lo + size:
-            return _shifted(inner[side](i - lo, j - lo), size, lo, n)
-        by_pair = (b2 if side else b1).algebra._by_pair
+        if (i >= n1) == (j >= n1):
+            return inner(i, j)
         acc: dict[int, object] = {}
-        for k in range(size):
-            kn = (lo + k) * n + lo
-            for t, c in by_pair.get((i - lo, k), ()):
+        for k in range(n1, n) if i >= n1 else range(n1):
+            kn = k * n
+            for t, c in by_pair.get((i, k), ()):
                 acc[kn + t] = w[j] * c
-            acc[kn + i - lo] = acc.get(kn + i - lo, 0) - w[j] * w[lo + k]
+            acc[kn + i] = acc.get(kn + i, 0) - w[j] * w[k]
         return _sparse(acc, p)
 
     return block
-
-
-def _shifted(block: dict, size: int, lo: int, n: int) -> dict:
-    """A factor's basis block {k * size + t: v} re-keyed to the product's {(lo + k) * n + lo + t: v}."""
-    return {(lo + key // size) * n + lo + key % size: v for key, v in block.items()}
 
 
 def idempotent_family(

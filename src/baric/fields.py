@@ -266,8 +266,10 @@ def parse_scalar(text: str, field: FieldSpec) -> FieldElement:
     m = _SCALAR_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"bad scalar literal {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError as exc:  # more digits than Python converts to an int
+        raise ParseError(f"scalar literal too long: {exc}") from None
     if field.p is None:
         if den == 0:
             raise DivisionByZero(f"zero denominator in {text!r}")

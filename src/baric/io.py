@@ -48,7 +48,7 @@ def _read_scalar(text, field: FieldSpec, where: str):
 def _read_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

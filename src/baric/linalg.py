@@ -21,7 +21,7 @@ commutant kernel and the weight search grow a row at a time.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -399,28 +399,31 @@ def iter_vectors(field: FieldSpec, dim: int, cap: int | None = None) -> Iterator
         yield combo
 
 
+def _gaussian_binomials(p: int, d: int) -> Iterator[int]:
+    """The Gaussian binomials [d k]_p for k = 0, ..., d: the k-dimensional subspaces of F_p^d."""
+    binom = 1
+    for k in range(d + 1):
+        yield binom
+        binom = binom * (p ** (d - k) - 1) // (p ** (k + 1) - 1)
+
+
 def subspace_count(p: int, d: int) -> int:
     """Number of subspaces of F_p^d: the sum over k of the Gaussian binomials [d k]_p."""
-    total, binom = 0, 1
-    for k in range(d + 1):
-        total += binom
-        binom = binom * (p ** (d - k) - 1) // (p ** (k + 1) - 1)
-    return total
+    return sum(_gaussian_binomials(p, d))
 
 
 def check_subspace_cap(ambient: Subspace, cap: int | None = None) -> None:
     """Refuse an ambient with more subspaces than the cap, before any is visited.
 
-    The count is subspace_count(p, dim(ambient)). Requires a finite field.
+    The count is subspace_count(p, dim(ambient)), summed until it passes the cap and never printed.
+    Requires a finite field.
     """
     p = ambient.field.p
     if p is None:
         raise FieldNotFinite("subspace enumeration needs a finite field")
-    total = subspace_count(p, ambient.dim)
-    if total > enumeration_cap(cap):
-        raise EnumerationTooLarge(
-            f"F_{p}^{ambient.dim} has {total} subspaces, more than the enumeration cap"
-        )
+    limit = enumeration_cap(cap)
+    if any(total > limit for total in accumulate(_gaussian_binomials(p, ambient.dim))):
+        raise EnumerationTooLarge(f"F_{p}^{ambient.dim} has more subspaces than the enumeration cap {limit}")
 
 
 def enumerate_subspaces(ambient: Subspace, cap: int | None = None) -> Iterator[Subspace]:

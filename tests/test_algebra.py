@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -17,12 +18,17 @@ from baric import (
     commutator,
     kpow,
     property_flags,
+    random_baric,
+    random_rational_baric,
 )
-from baric.algebra import _associator_laws, _find_unit, _is_commutative
-from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
+from baric.algebra import _associator_laws, _find_unit
+from baric.catalog import componentwise, dual_numbers, group_algebra_z2, scalar_action, truncated_polynomials
+from baric.linalg import kernel_basis, span
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
 
 
 def test_multiply_examples():
@@ -120,6 +126,77 @@ def test_commutative_center_fixed_point():
         for row in center.basis:
             assert commutator(d2.algebra.element(row), a).is_zero
     assert commutative_center(bowtie(d2, d2).algebra).is_zero
+
+
+def _dense_center(a):
+    """The centre as the kernel of the dense n^2 x n system of the maps x -> x e_j - e_j x."""
+    n = a.dim
+    rows = [[0] * n for _ in range(n * n)]
+    for (i, j, k), c in a.entries():
+        rows[j * n + k][i] += c  # (x e_j - e_j x)_k gets x_i (c[i,j,k] - c[j,i,k])
+        rows[i * n + k][j] -= c
+    return span(a.field, n, kernel_basis(Matrix._raw(a.field, rows, n)))
+
+
+def _mirror_commutative(a):
+    """Commutativity as: each basis pair's constants are its mirror's."""
+    by_pair = a._by_pair
+    return all(by_pair.get((j, i)) == entries for (i, j), entries in by_pair.items())
+
+
+def _center_cases():
+    """Random algebras over F2, F3, F5 and Q, the catalog families, and bowtie products of them."""
+    for field in (F2, F3, F5):
+        for n in range(1, 8):
+            for commutative, unital in ((False, False), (True, False), (False, True), (True, True)):
+                yield random_baric(field, n, commutative=commutative, unital=unital, seed=n)
+    rationals = [random_rational_baric(n, [1] + [m % 3 - 1 for m in range(1, n)], seed=n) for n in range(1, 7)]
+    yield from rationals
+    for field in (Q, F2, F3, F5):
+        yield kpow(field, 4)
+        yield truncated_polynomials(field, 4)
+        yield dual_numbers(field)
+        yield componentwise(field, 4)
+        yield group_algebra_z2(field)
+        yield scalar_action(field, [1, 2, 0])
+    rng = random.Random(5)
+    for field in (F2, F3, F5):
+        for _ in range(6):
+            b1 = random_baric(field, rng.randint(1, 3), unital=rng.random() < 0.5, seed=rng.getrandbits(32))
+            b2 = random_baric(field, rng.randint(1, 3), commutative=rng.random() < 0.5, seed=rng.getrandbits(32))
+            yield bowtie(b1, b2)
+    for b1, b2 in zip(rationals, reversed(rationals)):
+        yield bowtie(b1, b2)
+    yield bowtie(dual_numbers(Q), componentwise(Q, 3))
+    yield bowtie(scalar_action(F3, [1, 2]), truncated_polynomials(F3, 3))
+
+
+def test_commutative_center_matches_the_dense_system():
+    dims = set()
+    for b in _center_cases():
+        center = commutative_center(b.algebra)
+        assert center == _dense_center(b.algebra), b.algebra
+        dims.add((center.dim, b.dim))
+    # zero, proper and whole centres all occur
+    assert any(d == 0 for d, _ in dims) and any(0 < d < n for d, n in dims) and any(d == n for d, n in dims)
+
+
+def test_commutativity_flag_matches_the_mirror_comparison():
+    seen = set()
+    for b in _center_cases():
+        commutative = property_flags(b.algebra).commutative
+        assert commutative == _mirror_commutative(b.algebra), b.algebra
+        seen.add(commutative)
+    assert seen == {False, True}
+
+
+def test_commutative_center_of_componentwise_f2_200_is_fast():
+    # the dense n^2 x n system took about 3 s and 270 MB here
+    a = componentwise(F2, 200).algebra
+    start = time.perf_counter()
+    center = commutative_center(a)
+    assert time.perf_counter() - start < 0.5
+    assert center.dim == 200
 
 
 def test_change_basis_examples():
@@ -251,6 +328,22 @@ def test_find_unit_matches_brute_force(field, n):
     assert 0 < found < 150
 
 
+def test_find_unit_builds_no_dense_system():
+    # the dense 2n^2 x n system took about 0.8 s and 120 MB at n = 200
+    a = componentwise(F2, 300).algebra
+    start = time.perf_counter()
+    unit = _find_unit(a)
+    assert time.perf_counter() - start < 1.0
+    assert unit.values == (1,) * 300
+    tracemalloc.start()
+    try:
+        _find_unit(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 def _dense_associator_laws(a, commutative):
     """(associative, left alternative, right alternative) from dense basis associators.
 
@@ -287,7 +380,7 @@ def _dense_associator_laws(a, commutative):
 
 
 def _assert_laws_match_dense(a):
-    commutative = _is_commutative(a)
+    commutative = property_flags(a).commutative
     assert _associator_laws(a, commutative) == _dense_associator_laws(a, commutative)
 
 
@@ -304,7 +397,7 @@ def test_associator_laws_match_the_dense_kernel(field):
             table.update({(j, i, k): c for (i, j, k), c in list(table.items())})
         a = Algebra(field, n, table)
         _assert_laws_match_dense(a)
-        seen.add(_associator_laws(a, _is_commutative(a)))
+        seen.add(_associator_laws(a, property_flags(a).commutative))
     assert {(True, True, True), (False, False, False)} <= seen
     for b in (kpow(field, 6), truncated_polynomials(field, 6), componentwise(field, 6),
               bowtie(dual_numbers(field), dual_numbers(field))):
@@ -316,7 +409,7 @@ def test_associator_laws_match_the_dense_kernel_on_one_sided_examples():
     right_only = Algebra(F2, 3, {(0, 1, 2): 1, (1, 0, 2): 1, (1, 2, 0): 1})
     for a, laws in ((left_only, (False, True, False)), (right_only, (False, False, True))):
         _assert_laws_match_dense(a)
-        assert _associator_laws(a, _is_commutative(a)) == laws
+        assert _associator_laws(a, property_flags(a).commutative) == laws
 
 
 def test_property_flags_of_kpow_f5_40_is_fast():

@@ -141,6 +141,7 @@ def test_a_tagged_load_validates_the_weight_once(monkeypatch):
 
 SQUARE_WITH_PROVENANCE = dict(FIELD_SQUARE_DOC, provenance={"bowtie": {"left": 1, "right": 1}})
 F3_LINE = {"field": {"kind": "prime", "p": 3}, "ambient_dim": 2, "vectors": [["1", "0"]]}
+LONG_DIGITS = "7" * 5000  # past the 4,300 digits Python converts to an int by default
 
 
 @pytest.mark.parametrize("loader, text, message", [
@@ -160,6 +161,10 @@ F3_LINE = {"field": {"kind": "prime", "p": 3}, "ambient_dim": 2, "vectors": [["1
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, mul=[[0, 0, 0, "x"]])), r"mul\[0\]: bad scalar literal"),
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, weight=["1"])), "weight: expected an array of 2"),
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, weight=[1, "1"])), r"weight\[0\]: coefficient must be a string"),
+    pytest.param("algebra", '{"field": {"kind": "prime", "p": %s}}' % LONG_DIGITS, "invalid JSON: Exceeds the limit", id="long-json-p"),
+    pytest.param("algebra", json.dumps(FIELD_SQUARE_DOC).replace('"dim": 2', f'"dim": {LONG_DIGITS}'), "invalid JSON", id="long-json-dim"),
+    pytest.param("algebra", json.dumps(dict(FIELD_SQUARE_DOC, mul=[[0, 0, 0, LONG_DIGITS]])), r"mul\[0\]: scalar literal too long", id="long-mul-coeff"),
+    pytest.param("algebra", json.dumps(dict(FIELD_SQUARE_DOC, weight=["1", f"1/{LONG_DIGITS}"])), r"weight\[1\]: scalar literal too long", id="long-weight-denominator"),
     ("algebra", json.dumps(dict(FIELD_SQUARE_DOC, provenance={"bowtie": 1})), "provenance: expected"),
     (
         "algebra",
@@ -170,6 +175,8 @@ F3_LINE = {"field": {"kind": "prime", "p": 3}, "ambient_dim": 2, "vectors": [["1
     ("subspace", json.dumps(dict(F3_LINE, vectors={})), "vectors: expected an array"),
     ("subspace", json.dumps(dict(F3_LINE, vectors=[["1"]])), r"vectors\[0\]: expected 2 coefficient strings"),
     ("subspace", json.dumps(dict(F3_LINE, vectors=[["1", "x"]])), r"vectors\[0\]\[1\]: bad scalar literal 'x'"),
+    pytest.param("subspace", json.dumps(dict(F3_LINE, vectors=[[f"-{LONG_DIGITS}", "0"]])), r"vectors\[0\]\[0\]: scalar literal too long", id="long-vector-entry"),
+    pytest.param("subspace", json.dumps(F3_LINE).replace('"ambient_dim": 2', f'"ambient_dim": {LONG_DIGITS}'), "invalid JSON", id="long-json-ambient-dim"),
     ("subspace", "{", "invalid JSON"),
 ])
 def test_malformed_documents_are_parse_errors(tmp_path, loader, text, message):
@@ -399,6 +406,8 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
     assert "error=DimensionMismatch" in capsys.readouterr().err
     assert main(["ideal", str(k2), "--gens", "1,0;0,x"]) == 2
     assert "error=ParseError detail=gens[1][1]: bad scalar literal 'x'" in capsys.readouterr().err
+    assert main(["ideal", str(k2), "--gens", f"1,{LONG_DIGITS}"]) == 2
+    assert "error=ParseError detail=gens[0][1]: scalar literal too long" in capsys.readouterr().err
 
     missing = main(["check", str(tmp_path / "absent.json")])
     assert missing == 2
@@ -511,6 +520,16 @@ def test_cli_negative_cap_is_a_usage_error(tmp_path, capsys):
     assert "error=EnumerationTooLarge" in capsys.readouterr().err
     assert main(["weights", str(path), "--cap", "8"]) == 0
     assert "count=1" in capsys.readouterr().out
+
+
+def test_cli_bijection_refuses_a_kernel_too_large_to_count_in_print(tmp_path, capsys):
+    # Ker w of the left factor is F_2^244, with more than 4,300 digits of subspaces
+    path = tmp_path / "cw245.json"
+    io.save(bowtie(componentwise(F2, 245), componentwise(F2, 1)), path)
+    assert main(["bijection", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error=EnumerationTooLarge detail=F_2^244 has more subspaces than the enumeration cap 1048576\n"
 
 
 def test_cli_usage_error_exit_code():

@@ -41,7 +41,7 @@ from baric import (
 from baric import ideals, io
 from baric.catalog import scalar_action, truncated_polynomials
 from baric.cli import main
-from baric.linalg import row_times_matrix, subspace_count
+from baric.linalg import check_subspace_cap, row_times_matrix, subspace_count
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -278,6 +278,27 @@ def test_cap_bounds_the_subspaces_visited():
     assert len(list(enumerate_subspaces(full, cap=67))) == 67
     with pytest.raises(EnumerationTooLarge):
         next(enumerate_subspaces(full, cap=66))
+
+
+def test_cap_refusal_never_prints_the_count():
+    # F_2^250 has more than 4,300 digits of subspaces, past what Python prints as an int
+    with pytest.raises(EnumerationTooLarge, match=r"^F_2\^250 has more subspaces than the enumeration cap 1048576$"):
+        next(enumerate_subspaces(Subspace.full(F2, 250)))
+
+
+def test_cap_refusal_stops_summing_past_the_cap():
+    full = Subspace.full(F2, 1000)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge):
+        check_subspace_cap(full)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_cap_boundary_is_the_exact_subspace_count():
+    full, cap = Subspace.full(F2, 11), subspace_count(2, 11)
+    check_subspace_cap(full, cap)
+    with pytest.raises(EnumerationTooLarge, match=f"F_2\\^11 has more subspaces than the enumeration cap {cap - 1}$"):
+        check_subspace_cap(full, cap - 1)
 
 
 def test_dim12_kernel_lattice_is_refused_at_once(monkeypatch, tmp_path, capsys):
