@@ -15,9 +15,7 @@ FieldSpec.unwrap, the one door.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularTransform
@@ -235,10 +233,10 @@ class PropertyFlags:
 
 
 def _basis_associators(by_pair: dict, n: int, p: int | None):
-    """The basis associators of a table, one pair (i, j) at a time, computed when first asked.
+    """The basis associators of a table, one pair (i, j) at a time, computed when asked.
 
-    Returns a cached function of (i, j) giving {k * n + t: A(i,j,k)_t}
-    with the nonzero values only (reduced mod p over F_p), where
+    Returns a function of (i, j) giving a new {k * n + t: A(i,j,k)_t} on
+    each call, with the nonzero values only (reduced mod p over F_p), where
     A(i,j,k) = (e_i e_j) e_k - e_i (e_j e_k) = sum_m c[i,j,m] e_m e_k -
     sum_m c[j,k,m] e_i e_m is summed over the nonzero constants only.
     """
@@ -246,7 +244,6 @@ def _basis_associators(by_pair: dict, n: int, p: int | None):
     for (m, k), row in by_pair.items():
         starting[m].append((k * n, row))
 
-    @functools.cache
     def block(i: int, j: int) -> dict:
         acc: dict[int, object] = {}
         for m, c in by_pair.get((i, j), ()):
@@ -290,18 +287,20 @@ def _sparse(acc: dict, p: int | None) -> dict:
     return {key: r for key, v in acc.items() if (r := v % p)}
 
 
-def _left_alternative(block, n: int, p: int | None) -> bool:
-    """(x,x,y) = 0 identically: A(i,i,k) = 0, and A(i,j,k) + A(j,i,k) = 0 for i < j."""
+def _left_alternative(block, n: int, p: int | None) -> tuple[bool, bool]:
+    """(left alternative, associative), from one walk that reads each block once."""
+    empty = True
     for i in range(n):
         if block(i, i):
-            return False
+            return False, False
         for j in range(i + 1, n):
             bij, bji = block(i, j), block(j, i)
             for key in bij.keys() | bji.keys():
                 s = bij.get(key, 0) + bji.get(key, 0)
                 if s if p is None else s % p:
-                    return False
-    return True
+                    return False, False
+            empty = empty and not (bij or bji)
+    return True, empty
 
 
 def _associator_laws(a: Algebra, commutative: bool) -> tuple[bool, bool, bool]:
@@ -312,20 +311,20 @@ def _associator_laws(a: Algebra, commutative: bool) -> tuple[bool, bool, bool]:
     associator is trilinear, so (x,x,y) = sum_i x_i^2 A(i,i,y) +
     sum_{i<j} x_i x_j (A(i,j,y) + A(j,i,y)); evaluating at e_i and e_i + e_j
     shows it vanishes identically exactly when A(i,i,k) = 0 and
-    A(i,j,k) + A(j,i,k) = 0 for i < j, over every field including F_2. In
-    the opposite algebra, x o y = yx, (x,x,y) is -(y,x,x), so the right law
-    is the left law of the opposite table. An associative algebra satisfies
-    both laws, and in a commutative one the two laws coincide.
+    A(i,j,k) + A(j,i,k) = 0 for i < j, over every field including F_2. One
+    walk reads block (i, i), then (i, j) and (j, i) for i < j, and stops at
+    the first failure of that law; a walk that ends has read every block,
+    so the table is associative when all were empty. In the opposite
+    algebra, x o y = yx, (x,x,y) is -(y,x,x), so the right law is the left
+    law of the opposite table, read only when the table is neither
+    associative (both laws hold) nor commutative (they coincide).
     """
     n, p = a.dim, a.field.p
-    block = _basis_associators(a._by_pair, n, p)
-    if not any(block(i, j) for i, j in product(range(n), repeat=2)):
-        return True, True, True
-    left = _left_alternative(block, n, p)
-    if commutative:
-        return False, left, left
+    left, associative = _left_alternative(_basis_associators(a._by_pair, n, p), n, p)
+    if associative or commutative:
+        return associative, left, left
     opposite = {(j, i): row for (i, j), row in a._by_pair.items()}
-    return False, left, _left_alternative(_basis_associators(opposite, n, p), n, p)
+    return False, left, _left_alternative(_basis_associators(opposite, n, p), n, p)[0]
 
 
 def _find_unit(a: Algebra) -> Element | None:

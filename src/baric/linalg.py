@@ -42,7 +42,8 @@ def enumeration_cap(override: int | None = None) -> int:
     The cap bounds the number of items an exhaustive search visits: the
     p^dim vectors of iter_vectors, the subspace_count(p, dim) subspaces of
     enumerate_subspaces, the branch nodes of weights.enumerate_weights
-    (root included). A negative cap raises ValueError.
+    (the root and every value tried, pruned or not). A negative cap raises
+    ValueError.
     """
     cap = DEFAULT_ENUMERATION_CAP if override is None else override
     if cap < 0:
@@ -388,15 +389,13 @@ def span_of(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence]) -> 
     return span(field, ambient_dim, [_coerce_row(field, v) for v in vectors])
 
 
-def iter_vectors(field: FieldSpec, dim: int, cap: int | None = None) -> Iterator[Row]:
-    """Every coordinate vector of F^dim in lexicographic order."""
+def iter_vectors(field: FieldSpec, dim: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every vector of F_p^dim as a tuple of residues 0..p-1, in lexicographic order."""
     if field.p is None:
         raise FieldNotFinite("cannot enumerate vectors over the rationals")
     if field.p**dim > enumeration_cap(cap):
         raise EnumerationTooLarge(f"{field.p}^{dim} exceeds the enumeration cap")
-    elems = list(field.elements())
-    for combo in product(elems, repeat=dim):
-        yield combo
+    yield from product(range(field.p), repeat=dim)
 
 
 def _gaussian_binomials(p: int, d: int) -> Iterator[int]:

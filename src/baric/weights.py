@@ -178,24 +178,24 @@ def enumerate_weights(algebra: Algebra, cap: int | None = None) -> list[Weight]:
     Leaves come out in lexicographic order, that of iter_vectors.
 
     Over the rationals FieldNotFinite is raised. The cap bounds the branch
-    nodes visited, the root and the leaves included: EnumerationTooLarge is
-    raised on reaching node cap + 1, so a cap of 0 refuses any search.
+    nodes tried, the root and every value tried, pruned or not: EnumerationTooLarge
+    is raised on trying node cap + 1, so a cap of 0 refuses any search.
     """
     field, n = algebra.field, algebra.dim
     p = field.p
     if p is None:
         raise FieldNotFinite("weights can only be enumerated over a prime field")
     cap = enumeration_cap(cap)
+    too_many = f"the weight search visits more than {cap} branch nodes"
+    if cap < 1:
+        raise EnumerationTooLarge(too_many)
     found = []
-    visited = 0
+    tried = 1  # the root
     # a node is (w_0 .. w_{i-1}, echelon); echelon rows are sparse over the
     # unknowns 0..n-1 and the constant key n, each row read as row . (w, 1) = 0
     stack = [((), {})]
     while stack:
         prefix, echelon = stack.pop()
-        visited += 1
-        if visited > cap:
-            raise EnumerationTooLarge(f"the weight search visits more than {cap} branch nodes")
         i = len(prefix)
         if i == n:
             w = Weight(field, prefix)
@@ -206,6 +206,9 @@ def enumerate_weights(algebra: Algebra, cap: int | None = None) -> list[Weight]:
         free = bool(rest) and min(rest) < n
         children = []
         for a in range(p) if free else (rest.get(n, 0),):
+            tried += 1
+            if tried > cap:
+                raise EnumerationTooLarge(too_many)
             child = dict(echelon)
             if free:
                 echelon_add(child, {**rest, n: rest.get(n, 0) - a}, p)
@@ -375,8 +378,7 @@ def find_weight_one_idempotents(
     """
     one = b.field.one
     if b.field.is_finite:
-        vectors = iter_vectors(b.field, b.dim, cap)
-        pool = (Element._raw(b.algebra, [c.value for c in coords]) for coords in vectors)
+        pool = (Element._raw(b.algebra, v) for v in iter_vectors(b.field, b.dim, cap))
     else:
         pool = [
             b.basis_element(i).scaled(one / wi) for i, wi in enumerate(b.weight.coords) if wi

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from baric import (
     random_baric,
     random_rational_baric,
 )
+from baric import algebra as algebra_module
 from baric.algebra import _associator_laws, _find_unit
 from baric.catalog import componentwise, dual_numbers, group_algebra_z2, scalar_action, truncated_polynomials
 from baric.linalg import kernel_basis, span
@@ -410,6 +412,46 @@ def test_associator_laws_match_the_dense_kernel_on_one_sided_examples():
     for a, laws in ((left_only, (False, True, False)), (right_only, (False, False, True))):
         _assert_laws_match_dense(a)
         assert _associator_laws(a, property_flags(a).commutative) == laws
+
+
+def test_property_flags_reads_each_associator_block_once(monkeypatch):
+    reads = []  # one Counter of (i, j) per table handed to _basis_associators
+    basis_associators = algebra_module._basis_associators
+
+    def counted(by_pair, n, p):
+        block, asked = basis_associators(by_pair, n, p), Counter()
+        reads.append(asked)
+
+        def counting_block(i, j):
+            asked[i, j] += 1
+            return block(i, j)
+
+        return counting_block
+
+    monkeypatch.setattr(algebra_module, "_basis_associators", counted)
+    rng = random.Random(7)
+    tables = [Algebra(F3, n, {key: rng.randrange(3) for key in product(range(n), repeat=3)
+                              if rng.random() < density})
+              for n in (2, 3, 4) for density in (0.1, 0.3, 1.0)]
+    tables += [kpow(F3, 5).algebra, componentwise(F2, 6).algebra, truncated_polynomials(Q, 4).algebra,
+               Algebra(F2, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (2, 0, 1): 1}),
+               Algebra(F2, 3, {(0, 1, 2): 1, (1, 0, 2): 1, (1, 2, 0): 1})]
+    for a in tables:
+        property_flags(a)
+    assert reads and all(max(asked.values(), default=1) == 1 for asked in reads)
+    assert sum(map(len, reads)) > sum(a.dim for a in tables)
+
+
+def test_associator_laws_of_componentwise_f2_200_keep_no_blocks():
+    # every one of the 40,000 blocks is empty, and none is kept once it is read
+    a = componentwise(F2, 200).algebra
+    tracemalloc.start()
+    try:
+        assert _associator_laws(a, True) == (True, True, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_property_flags_of_kpow_f5_40_is_fast():

@@ -22,6 +22,7 @@ from baric import (
 from baric import io, weights
 from baric.catalog import componentwise, dual_numbers, scalar_action
 from baric.cli import main
+from baric.propcheck import PROPOSITION_IDS
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -530,6 +531,16 @@ def test_cli_bijection_refuses_a_kernel_too_large_to_count_in_print(tmp_path, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error=EnumerationTooLarge detail=F_2^244 has more subspaces than the enumeration cap 1048576\n"
+
+
+def test_cli_verify_runs_the_checks_after_a_cap_refusal(capsys):
+    # P5.5 scans the 11^6 vectors of a product over F_11, past the default cap
+    assert main(["verify", "--field", "p11", "--trials", "5", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 21 and all(line.endswith(" trials=5 failures=0 seed=0") for line in lines)
+    assert [line.split()[0] for line in lines] == [pid for pid in PROPOSITION_IDS if pid != "P5.5"]
+    assert err == "error=EnumerationTooLarge check=P5.5 detail=11^6 exceeds the enumeration cap\n"
 
 
 def test_cli_usage_error_exit_code():

@@ -29,6 +29,7 @@ from baric import (
     validate_weight,
 )
 from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
+from baric.linalg import iter_vectors
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -253,6 +254,40 @@ def test_find_weight_one_idempotents():
     assert len(found) == 3
 
 
+def _raw_idempotent_scan(b):
+    """Weight-one idempotents as residue tuples, from every vector of F_p^n in lexicographic order."""
+    p, n, w = b.field.p, b.dim, b.weight.values
+    entries = list(b.algebra.entries())
+    found = []
+    for v in product(range(p), repeat=n):
+        if sum(wi * vi for wi, vi in zip(w, v)) % p != 1:
+            continue
+        square = [0] * n
+        for (i, j, k), c in entries:
+            square[k] += c * v[i] * v[j]
+        if tuple(s % p for s in square) == v:
+            found.append(v)
+    return found
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=lambda f: f.token)
+def test_idempotent_scan_matches_a_raw_scan(field):
+    seen = 0
+    for dim, commutative, unital in product(range(1, 7), (False, True), (False, True)):
+        b = random_baric(field, dim, commutative=commutative, unital=unital, seed=dim)
+        expected = _raw_idempotent_scan(b)
+        assert [x.values for x in find_weight_one_idempotents(b)] == expected
+        assert [x.values for x in find_weight_one_idempotents(b, limit=1)] == expected[:1]
+        seen += len(expected)
+    assert seen
+
+
+def test_iter_vectors_yields_residue_tuples_in_lexicographic_order():
+    vectors = list(iter_vectors(F3, 2))
+    assert vectors == [(a, b) for a in range(3) for b in range(3)]
+    assert all(type(c) is int for v in vectors for c in v)
+
+
 def test_kernel_subspace():
     b = bowtie(componentwise(Q, 2), kpow(Q, 1))
     kernel = b.kernel()
@@ -335,13 +370,16 @@ def test_weight_search_matches_the_scan(field, max_dim):
 
 
 def test_weight_search_cap_counts_branch_nodes():
-    # kpow(F, n): w_0 = 0 forces w = 0 and w_0 = 1 forces w = (1, ..., 1), so
-    # two forced paths below the root. componentwise(F, n): after w_0 .. w_(i-1)
-    # = 0, w_i = 1 forces the rest to 0 and w_i = 0 branches again.
+    # Every value tried counts, pruned or not. kpow(F, n): the root tries all p
+    # values of w_0; w_0 = 0 forces w = 0 and w_0 = 1 forces w = (1, ..., 1),
+    # two forced paths, and the other p - 2 are pruned. componentwise(F, n):
+    # after w_0 .. w_(i-1) = 0, w_i tries all p values, w_i = 1 forces the rest
+    # to 0, w_i = 0 branches again, and the other p - 2 are pruned.
     for field, n in ((F2, 3), (F3, 5), (F5, 4)):
+        p = field.p
         cases = [
-            (kpow(field, n).algebra, 1 + 2 * n, 1),
-            (componentwise(field, n).algebra, 1 + n + n * (n + 1) // 2, n),
+            (kpow(field, n).algebra, 1 + 2 * n + (p - 2), 1),
+            (componentwise(field, n).algebra, 1 + n + n * (n + 1) // 2 + n * (p - 2), n),
         ]
         for a, nodes, weights in cases:
             assert len(enumerate_weights(a, cap=nodes)) == weights
@@ -349,6 +387,15 @@ def test_weight_search_cap_counts_branch_nodes():
                 enumerate_weights(a, cap=nodes - 1)
     with pytest.raises(EnumerationTooLarge):
         enumerate_weights(kpow(F2, 1).algebra, cap=0)
+
+
+def test_weight_search_cap_bounds_the_values_tried():
+    # a free w_0 over F_p tries p values: the cap stops the search within them
+    a = componentwise(FieldSpec.prime(1000000007), 2).algebra
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match="more than 10 branch nodes"):
+        enumerate_weights(a, cap=10)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_weight_search_on_a_dim_24_algebra_is_fast():
