@@ -79,16 +79,17 @@ def bowtie_table(entries1, w1: tuple, entries2, w2: tuple) -> dict:
     return table
 
 
-def _block(b: BaricAlgebra, side: str) -> tuple[int, int]:
-    """(offset, size) of one factor's block of coordinates in the product."""
+def _block(b: BaricAlgebra, side: str, dim: int | None = None) -> tuple[int, int]:
+    """(offset, size) of one factor's block in the product; a dim other than size raises DimensionMismatch."""
     tag = b.provenance
     if tag is None:
         raise NotABowtie("operation needs factor provenance")
-    if side == "left":
-        return 0, tag.left_dim
-    if side == "right":
-        return tag.left_dim, tag.right_dim
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    lo, size = (0, tag.left_dim) if side == "left" else (tag.left_dim, tag.right_dim)
+    if dim is not None and dim != size:
+        raise DimensionMismatch(f"{side} factor has dimension {size}")
+    return lo, size
 
 
 def factor(b: BaricAlgebra, side: str) -> BaricAlgebra:
@@ -121,10 +122,8 @@ def embed(b: BaricAlgebra, side: str, x) -> Element:
     A wrong length raises DimensionMismatch; the zero-padded coordinates are
     read by b.element, which refuses an element of another field (FieldMismatch).
     """
-    lo, size = _block(b, side)
     coords = x.coords if isinstance(x, Element) else tuple(x)
-    if len(coords) != size:
-        raise DimensionMismatch(f"{side} factor has dimension {size}")
+    lo, size = _block(b, side, len(coords))
     return b.element((0,) * lo + coords + (0,) * (b.dim - lo - size))
 
 
@@ -137,9 +136,7 @@ def project(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
 
 def embed_subspace(b: BaricAlgebra, side: str, s: Subspace) -> Subspace:
     """Block embedding of a factor subspace into the product, the inverse of project."""
-    lo, size = _block(b, side)
-    if s.ambient_dim != size:
-        raise DimensionMismatch(f"{side} factor has dimension {size}")
+    lo, size = _block(b, side, s.ambient_dim)
     if s.field is not b.field:
         raise FieldMismatch(f"subspace over {s.field!r}, product over {b.field!r}")
     # zero-padded RREF rows, pivots shifted, are RREF; zero.value is a Fraction over Q

@@ -2,20 +2,23 @@
 
 Every command prints machine-parseable key=value lines. Exit codes:
 0 success / all checks pass, 1 a check failed (a counterexample path is
-printed when one was written), 2 usage or parse errors.
+printed when one was written), 2 usage or parse errors, 141 (128 + SIGPIPE)
+when the reader closed stdout, as a shell reports a writer that SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
 from . import io
 from .algebra import commutative_center, property_flags
 from .bowtie import bowtie
-from .errors import BaricError, DimensionMismatch, DivisionByZero, EnumerationTooLarge, UnknownProposition
+from .errors import BaricError, DimensionMismatch, DivisionByZero, EnumerationTooLarge
 from .fields import FieldSpec
 from .ideals import (
     Sided,
@@ -88,21 +91,18 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_bowtie(args) -> int:
-    b1 = io.load(args.left)
-    b2 = io.load(args.right)
-    result = bowtie(b1, b2)
-    io.save(result, args.output)
-    print(f"written={args.output} dim={result.dim}")
+def _write(result, path) -> int:
+    io.save(result, path)
+    print(f"written={path} dim={result.dim}")
     return 0
+
+
+def _cmd_bowtie(args) -> int:
+    return _write(bowtie(io.load(args.left), io.load(args.right)), args.output)
 
 
 def _cmd_kpow(args) -> int:
-    field = FieldSpec.from_token(args.field)
-    result = kpow(field, args.n)
-    io.save(result, args.output)
-    print(f"written={args.output} dim={result.dim}")
-    return 0
+    return _write(kpow(FieldSpec.from_token(args.field), args.n), args.output)
 
 
 def _cmd_weights(args) -> int:
@@ -203,15 +203,10 @@ def _cmd_verify(args) -> int:
         if not ids:
             raise ValueError(f"--props {args.props!r} names no check id")
         for pid in ids:
-            if pid not in PROPOSITION_IDS:
-                raise UnknownProposition(f"unknown check id {pid!r}")
+            check(pid, 0)  # an unknown id is refused before any check runs
     else:
         ids = list(PROPOSITION_IDS)
-    if args.maxdim is not None and args.maxdim < 1:
-        raise ValueError(f"--maxdim must be at least 1, got {args.maxdim}")
     field = FieldSpec.from_token(args.field) if args.field else None
-    if field is not None and not field.is_finite:
-        raise ValueError("verify needs a prime field token like p3")
     cfg = RunConfig(field=field, max_dim=args.maxdim, cap=args.cap)
     all_pass = True
     for pid in ids:
@@ -301,6 +296,13 @@ def main(argv=None) -> int:
             enumeration_cap(args.cap)  # a negative cap is a usage error before any work
         # looked up when the command runs, so a rebound module name takes effect
         return globals()[f"_cmd_{args.command}"](args)
+    except BrokenPipeError:
+        # the reader closed stdout: say nothing, and send the interpreter's last flush to devnull
+        with contextlib.suppress(AttributeError, OSError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
     except (*_USAGE_ERRORS, BaricError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 2 if isinstance(exc, _USAGE_ERRORS) else 1

@@ -69,7 +69,7 @@ from .ideals import (
     project_ideal,
     embedded_ideal_check,
 )
-from .linalg import Matrix, Subspace, enumerate_subspaces
+from .linalg import Matrix, Subspace, enumerate_subspaces, enumeration_cap
 from .weights import (
     BaricAlgebra,
     Weight,
@@ -96,11 +96,21 @@ class CheckFailure(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Caps shared by all suites; field/max_dim override per-suite defaults."""
+    """Caps shared by all suites; field/max_dim override per-suite defaults.
+
+    A max_dim below 1, a field that is not prime and a negative cap raise ValueError when built.
+    """
 
     field: FieldSpec | None = None
     max_dim: int | None = None
     cap: int | None = None
+
+    def __post_init__(self):
+        if self.max_dim is not None and self.max_dim < 1:
+            raise ValueError(f"max_dim must be at least 1, got {self.max_dim}")
+        if self.field is not None and not self.field.is_finite:
+            raise ValueError(f"the sampling field must be a prime field, got {self.field.token}")
+        enumeration_cap(self.cap)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -492,7 +495,7 @@ def test_cli_verify_refuses_maxdim_below_one(maxdim, capsys):
     assert main(["verify", "--props", "L3.1", "--trials", "1", "--maxdim", maxdim]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error=ValueError" in captured.err and "--maxdim" in captured.err
+    assert "error=ValueError" in captured.err and "max_dim" in captured.err
     assert main(["verify", "--props", "L3.1", "--trials", "1", "--maxdim", "1"]) == 0
 
 
@@ -547,6 +550,39 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+def test_cli_exits_141_in_silence_when_the_reader_closes_the_pipe(tmp_path):
+    # kpow(F2, 14) has 8,192 weight-one idempotents, far more lines than a pipe buffer holds
+    path = tmp_path / "k14.json"
+    io.save(kpow(F2, 14), path)
+    src = str(Path(io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "baric.cli", "idempotents", str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"idempotent=")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_cli_returns_141_and_reports_no_error_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k2.json"
+    io.save(kpow(F2, 2), path)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["idempotents", str(path)]) == 141
+    assert "error=" not in capsys.readouterr().err
 
 
 def test_cli_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import hashlib
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,23 +10,34 @@ from baric import (
     DimensionMismatch,
     associator,
     commutator,
+    commutator_closed_form,
     FieldNotFinite,
     FieldSpec,
+    Matrix,
     PROPOSITION_IDS,
     PropReport,
     RunConfig,
+    Subspace,
     UnknownProposition,
+    Weight,
     bowtie,
     change_basis,
     check,
+    decomposability,
+    embedded_ideal_check,
     is_scalar_action,
+    normalize_weight_one_basis,
+    project_ideal,
     property_flags,
     random_baric,
     random_rational_baric,
+    structural_isos,
     validate_weight,
 )
 from baric import io, propcheck, weights
 from baric.bowtie import associator_closed_blocks, commutator_closed_blocks
+from baric.catalog import componentwise
+from baric.ideals import DecompOutcome, Decomposability
 from baric.weights import BaricAlgebra
 
 F2 = FieldSpec.prime(2)
@@ -254,6 +267,118 @@ def test_p21_reports_a_product_weight_that_is_not_multiplicative(monkeypatch):
     text = report.first_counterexample
     assert "combined weight is not multiplicative" in text
     assert "left factor:" in text and "right factor:" in text
+
+
+def _bowtie_with_doubled_weight(b1, b2):
+    """bowtie whose weight is doubled after it was validated: 2w(xy) != 4w(x)w(y) over F5."""
+    bow = bowtie(b1, b2)
+    bow.weight = Weight(bow.field, [2 * c for c in bow.weight.values])
+    return bow
+
+
+def _flipped(result, name):
+    """A copy of a frozen dataclass result with one boolean field negated."""
+    return replace(result, **{name: not getattr(result, name)})
+
+
+def _commutator_form_off_by_one(b1, b2, x, y):
+    """commutator_closed_form with one added to the first coordinate: wrong at every tuple."""
+    first, *rest = commutator_closed_form(b1, b2, x, y)
+    return (first + b1.field.one, *rest)
+
+
+# One planted fault per check id: (check id, propcheck name, wrong function,
+# a fragment of the failure message). The last row leaves the basis blocks of
+# L3.1 right and breaks only the element form, which the random tuple reads.
+PLANTED_FAULTS = [
+    pytest.param("P2.1", "bowtie", _bowtie_with_doubled_weight, "weight not multiplicative at", id="P2.1"),
+    pytest.param(
+        "P3.1", "structural_isos", lambda *bs: _flipped(structural_isos(*bs), "swap_verified"),
+        "swap map failed verification", id="P3.1",
+    ),
+    pytest.param("P3.2", "transport_iso", lambda *args: (None, False), "transported map failed verification", id="P3.2"),
+    pytest.param("P3.3", "idempotent_family", lambda bow, *args: bow.algebra.zero(), "has weight != 1", id="P3.3"),
+    pytest.param(
+        "C3.1", "commutative_center", lambda a: Subspace.full(a.field, a.dim),
+        "commutative center has dimension", id="C3.1",
+    ),
+    pytest.param("P4.1", "enumerate_weights", lambda *args: [], "componentwise control: expected 2 weights", id="P4.1"),
+    pytest.param("C4.1", "embed", lambda b, side, x: b.algebra.zero(), "embedding is not multiplicative", id="C4.1"),
+    pytest.param(
+        "P5.1", "embedded_ideal_check", lambda *args: not embedded_ideal_check(*args),
+        "kernel containment", id="P5.1",
+    ),
+    pytest.param(
+        "P5.2", "project_ideal", lambda bow, ideal: _flipped(project_ideal(bow, ideal), "left_is_ideal"),
+        "right-in-kernel", id="P5.2",
+    ),
+    pytest.param(
+        "P5.3", "project_ideal",
+        lambda bow, ideal: replace(
+            project_ideal(bow, ideal), left=Subspace.zero_space(bow.field, bow.provenance.left_dim)
+        ),
+        "full left projection vs kernel equality", id="P5.3",
+    ),
+    pytest.param(
+        "P5.4", "kernel_ideal_bijection", lambda *args: SimpleNamespace(verified=False),
+        "kernel ideal pairing failed to verify", id="P5.4",
+    ),
+    pytest.param(
+        "P5.5", "decomposability",
+        lambda b, cap=None: (
+            Decomposability(DecompOutcome.DECOMPOSABLE) if b.provenance else decomposability(b, cap)
+        ),
+        "product of indecomposable factors reported decomposable", id="P5.5",
+    ),
+    pytest.param(
+        "L3.1", "commutator_closed_blocks", _commutator_blocks_without_w2c2,
+        "commutator closed form disagrees at", id="L3.1",
+    ),
+    pytest.param(
+        "L6.1", "associator_closed_blocks", _associator_blocks_with_one_flipped_sign,
+        "associator closed form disagrees at", id="L6.1",
+    ),
+    pytest.param("P6.1", "is_scalar_action", lambda b: not is_scalar_action(b), "but scalar law=", id="P6.1"),
+    pytest.param(
+        "P6.2", "property_flags", lambda a: _flipped(property_flags(a), "left_alternative"),
+        "left_alt=", id="P6.2",
+    ),
+    pytest.param(
+        "L6.2", "normalize_weight_one_basis",
+        lambda b: (normalize_weight_one_basis(b)[0], Matrix.of(b.field, [[0] * b.dim] * b.dim)),
+        "basis change matrix is singular", id="L6.2",
+    ),
+    pytest.param(
+        "P6.3", "classify_scalar_action", lambda b: None, "scalar-action algebra not recognized", id="P6.3",
+    ),
+    pytest.param(
+        "C6.1", "baric_isomorphic_by", lambda *args: False, "classification map failed verification", id="C6.1",
+    ),
+    pytest.param(
+        "EX2.1", "kpow", componentwise, "field square has unexpected structure constants", id="EX2.1",
+    ),
+    pytest.param("EX5.1", "kernel_ideals", lambda *args: [], "kernel ideals of the field square", id="EX5.1"),
+    pytest.param(
+        "EX6.1", "property_flags", lambda a: _flipped(property_flags(a), "associative"),
+        "is not associative", id="EX6.1",
+    ),
+    pytest.param(
+        "L3.1", "commutator_closed_form", _commutator_form_off_by_one,
+        "commutator closed form disagrees at", id="L3.1-random-tuple",
+    ),
+]
+
+
+def test_every_check_id_has_a_planted_fault():
+    assert sorted(row.values[0] for row in PLANTED_FAULTS) == sorted([*PROPOSITION_IDS, "L3.1"])
+
+
+@pytest.mark.parametrize("pid, name, fault, fragment", PLANTED_FAULTS)
+def test_each_check_reports_its_planted_fault(pid, name, fault, fragment, monkeypatch):
+    monkeypatch.setattr(propcheck, name, fault)
+    report = check(pid, trials=3, seed=0)
+    assert report.failures >= 1
+    assert fragment in report.first_counterexample.splitlines()[1]
 
 
 def _opposite_change_basis(a, t):

@@ -10,6 +10,7 @@ from baric import (
     FieldSpec,
     Ideal,
     Matrix,
+    RunConfig,
     SingularTransform,
     Sided,
     Subspace,
@@ -87,6 +88,9 @@ REFUSALS = {
     ),
     "validate_weight with a short weight": (lambda: validate_weight(A, Weight(F3, [1])), DimensionMismatch),
     "kpow with no factor": (lambda: kpow(F3, 0), DimensionMismatch),
+    "run config over the rationals": (lambda: RunConfig(field=Q), ValueError),
+    "run config with max_dim 0": (lambda: RunConfig(max_dim=0), ValueError),
+    "run config with a negative cap": (lambda: RunConfig(cap=-1), ValueError),
     "isomorphism test with a map of the wrong shape": (
         lambda: baric_isomorphic_by(Matrix.identity(F3, 3), K2, K2),
         DimensionMismatch,

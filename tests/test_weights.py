@@ -270,10 +270,10 @@ def _raw_idempotent_scan(b):
     return found
 
 
-@pytest.mark.parametrize("field", [F2, F3, F5], ids=lambda f: f.token)
-def test_idempotent_scan_matches_a_raw_scan(field):
+@pytest.mark.parametrize("field, max_dim", [(F2, 8), (F3, 8), (F5, 6)], ids=["p2", "p3", "p5"])
+def test_idempotent_scan_matches_a_raw_scan(field, max_dim):
     seen = 0
-    for dim, commutative, unital in product(range(1, 7), (False, True), (False, True)):
+    for dim, commutative, unital in product(range(1, max_dim + 1), (False, True), (False, True)):
         b = random_baric(field, dim, commutative=commutative, unital=unital, seed=dim)
         expected = _raw_idempotent_scan(b)
         assert [x.values for x in find_weight_one_idempotents(b)] == expected
