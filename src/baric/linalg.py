@@ -6,11 +6,13 @@ solve, row_times_matrix, Subspace.contains_vector) checks them through
 FieldSpec.unwrap, the one door to raw values; every kernel computes on
 raw values (residues in [0, p) over F_p, Fractions over Q), Matrix._raw
 builds the matrices they compute, and FieldSpec.wrap turns results back
-into FieldElements. Subspaces are stored by their reduced row-echelon
-rows as raw values, with zero rows removed, and the pivot column of each
-row. That is a canonical form: two subspaces are equal exactly when their
-stored rows are identical, so Subspace supports ==, hashing and set
-membership.
+into FieldElements. Elimination over Q clears each row's denominators
+once and runs fraction-free on Python ints, building one Fraction per
+nonzero entry of its result. Subspaces are stored by their reduced
+row-echelon rows as raw values, with zero rows removed, and the pivot
+column of each row. That is a canonical form: two subspaces are equal
+exactly when their stored rows are identical, so Subspace supports ==,
+hashing and set membership.
 
 Over prime fields the module can also enumerate every subspace of an
 ambient space, walking reduced-echelon pivot patterns so that each
@@ -21,7 +23,9 @@ commutant kernel and the weight search grow a row at a time.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate, combinations, product
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -130,7 +134,6 @@ class Matrix:
         if self.nrows != self.ncols:
             raise SingularTransform("only square matrices can be inverted")
         n = self.nrows
-        # raw identity entries are field.one.value: Fractions over Q, so / never meets two ints
         ident = Matrix.identity(self.field, n).values
         aug = [self.values[i] + ident[i] for i in range(n)]
         reduced, pivots = _rref(self.field, aug, 2 * n)
@@ -171,9 +174,12 @@ def _rref(field: FieldSpec, rows: Iterable[Sequence], ncols: int):
 
     The input rows are canonical raw values (residues in [0, p) over F_p,
     Fractions over Q), as Matrix.values holds them; so are the returned
-    rows, zero rows at the bottom.
+    rows, zero rows at the bottom. Over Q the elimination runs on Python
+    ints (see _rational_rref); over F_p it runs on residues.
     """
     p = field.p
+    if p is None:
+        return _rational_rref(rows, ncols, field.zero.value)
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots: list[int] = []
@@ -191,22 +197,63 @@ def _rref(field: FieldSpec, rows: Iterable[Sequence], ncols: int):
         m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
         if piv != 1:
-            if p is None:
-                m[r] = [x / piv for x in m[r]]
-            else:
-                inv = pow(piv, -1, p)
-                m[r] = [x * inv % p for x in m[r]]
+            inv = pow(piv, -1, p)
+            m[r] = [x * inv % p for x in m[r]]
         pivot_row = m[r]
         for i in range(nrows):
             f = m[i][c]
             if i != r and f:
-                if p is None:
-                    m[i] = [a - f * b for a, b in zip(m[i], pivot_row)]
-                else:
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot_row)]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot_row)]
         pivots.append(c)
         r += 1
     return [tuple(row) for row in m], pivots
+
+
+def _rational_rref(rows: Iterable[Sequence], ncols: int, zero: Fraction):
+    """_rref over Q: each row's denominators are cleared once, then the
+    elimination is fraction-free Gauss-Jordan on ints.
+
+    With piv the new pivot and prev the one before it (1 at first), every
+    row but the pivot row becomes (piv*a - f*b) // prev, f its entry in the
+    pivot column; the division is exact (Bareiss, Math. Comp. 22, 1968; in
+    Gauss-Jordan form, Nakos, Turner & Williams, SIGSAM Bull. 1997). Every
+    pivot row ends as D times its RREF row, D the last pivot, so one Fraction
+    is built per nonzero entry returned. Rows that become zero are dropped
+    as they appear and returned as shared zero rows at the bottom.
+    """
+    m = []
+    for row in rows:
+        d = lcm(*[x.denominator for x in row])
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    nrows = len(m)
+    m = [row for row in m if any(row)]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        for pr in range(r, len(m)):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pivot_row = m[r]
+        piv = pivot_row[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif piv != prev:
+                m[i] = [piv * a // prev for a in row]
+        m[r + 1 :] = [row for row in m[r + 1 :] if any(row)]
+        pivots.append(c)
+        prev = piv
+    reduced = [tuple([Fraction(a, prev) if a else zero for a in row]) for row in m]
+    return reduced + [(zero,) * ncols] * (nrows - len(m)), pivots
 
 
 def kernel_basis(m: Matrix) -> list[Row]:

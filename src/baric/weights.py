@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .algebra import Algebra, Element, change_basis, property_flags
+from .algebra import Algebra, Element, _find_unit, change_basis
 from .errors import (
     CharacteristicObstruction,
     DimensionMismatch,
@@ -383,7 +383,7 @@ def find_weight_one_idempotents(
         pool = [
             b.basis_element(i).scaled(one / wi) for i, wi in enumerate(b.weight.coords) if wi
         ]
-        unit = property_flags(b.algebra).unit
+        unit = _find_unit(b.algebra)
         if unit is not None and unit not in pool:
             pool.append(unit)
     found: list[Element] = []

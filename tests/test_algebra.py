@@ -201,6 +201,16 @@ def test_commutative_center_of_componentwise_f2_200_is_fast():
     assert center.dim == 200
 
 
+def test_flags_and_center_of_a_16_dim_rational_algebra_are_fast():
+    # Fraction elimination of the unit and centre systems took about 0.9 s here
+    a = random_rational_baric(16, [1] * 16, seed=16).algebra
+    start = time.perf_counter()
+    flags = property_flags(a)
+    center = commutative_center(a)
+    assert time.perf_counter() - start < 0.5
+    assert (flags.unital, center.dim) == (False, 0)
+
+
 def test_change_basis_examples():
     k2 = kpow(Q, 2)
     assert change_basis(k2.algebra, Matrix.identity(Q, 2)) == k2.algebra
