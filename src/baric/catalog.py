@@ -1,12 +1,10 @@
-"""Small named baric algebras used by the checks, tests and docs."""
+"""Small named baric algebras for the checks, tests and docs; scalar_action is re-exported from weights."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .algebra import Algebra
 from .fields import FieldSpec
-from .weights import BaricAlgebra, Weight, scalar_action_table
+from .weights import BaricAlgebra, Weight, scalar_action
 
 
 def truncated_polynomials(field: FieldSpec, n: int) -> BaricAlgebra:
@@ -35,9 +33,3 @@ def group_algebra_z2(field: FieldSpec) -> BaricAlgebra:
     one = field.one
     table = {(0, 0, 0): one, (0, 1, 1): one, (1, 0, 1): one, (1, 1, 0): one}
     return BaricAlgebra(Algebra(field, 2, table, ["1", "g"]), Weight(field, [1, 1]))
-
-
-def scalar_action(field: FieldSpec, weights: Sequence) -> BaricAlgebra:
-    """The algebra with x*y = w(y)*x on the chosen basis: c[i,j,k] = w_j 1{k=i}."""
-    w = Weight(field, weights)  # BaricAlgebra refuses a zero weight
-    return BaricAlgebra(Algebra(field, len(w), scalar_action_table(w)), w)

@@ -208,6 +208,9 @@ def _cmd_verify(args) -> int:
         ids = list(PROPOSITION_IDS)
     field = FieldSpec.from_token(args.field) if args.field else None
     cfg = RunConfig(field=field, max_dim=args.maxdim, cap=args.cap)
+    if args.outdir is not None and not Path(args.outdir).is_dir():
+        # refused before any check runs, not at the first counterexample to write
+        raise NotADirectoryError(f"--outdir {args.outdir!r} is not an existing directory")
     all_pass = True
     for pid in ids:
         # a cap refusal fails this check only: each check draws from its own seeded stream

@@ -11,6 +11,7 @@ time you hold one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 from typing import Sequence
 
@@ -307,19 +308,24 @@ def is_scalar_action(b: BaricAlgebra) -> bool:
     return dict(b.algebra.entries()) == scalar_action_table(b.weight)
 
 
+def scalar_action(field: FieldSpec, weights: Sequence) -> BaricAlgebra:
+    """The algebra with x*y = w(y)*x on the chosen basis: c[i,j,k] = w_j 1{k=i}."""
+    w = Weight(field, weights)  # BaricAlgebra refuses a zero weight
+    return BaricAlgebra(Algebra(field, len(w), scalar_action_table(w)), w)
+
+
 def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
     """The n-th bowtie power of the base field (left-associated).
 
-    Its structure constants are c[i,j,k] = 1{k=i} with all weights one;
-    iterating bowtie() over n copies of the one-dimensional baric algebra
-    produces exactly this table. It is the normal form of
-    classify_scalar_action.
+    It is the all-ones member of scalar_action, c[i,j,k] = 1{k=i}, tagged
+    as the product of its first n - 1 and its last coordinates; iterating
+    bowtie() over n copies of the one-dimensional baric algebra produces
+    exactly this algebra. It is the normal form of classify_scalar_action.
     """
-    weight = Weight.ones(field, n)
-    tag = None
+    b = scalar_action(field, [1] * n)
     if n >= 2:
-        tag = BowtieTag(n - 1, 1)
-    return BaricAlgebra(Algebra(field, n, scalar_action_table(weight)), weight, tag)
+        b.provenance = BowtieTag(n - 1, 1)
+    return b
 
 
 def classify_scalar_action(b: BaricAlgebra) -> tuple[Matrix, BaricAlgebra] | None:
@@ -375,7 +381,11 @@ def find_weight_one_idempotents(
     (subject to the enumeration cap). Over the rationals only the rescaled
     basis vectors e_i / w_i with w_i nonzero and the unit, if one exists,
     are examined, so an empty result there does not mean that none exists.
+    A limit stops the search once that many are found: a limit of 0 examines
+    nothing and returns [], and a negative limit raises ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     one = b.field.one
     if b.field.is_finite:
         pool = (Element._raw(b.algebra, v) for v in iter_vectors(b.field, b.dim, cap))
@@ -386,10 +396,5 @@ def find_weight_one_idempotents(
         unit = _find_unit(b.algebra)
         if unit is not None and unit not in pool:
             pool.append(unit)
-    found: list[Element] = []
-    for x in pool:
-        if b.weight(x) == one and x * x == x:
-            found.append(x)
-        if limit is not None and len(found) >= limit:
-            break
-    return found
+    # islice tests the limit before it draws each candidate
+    return list(islice((x for x in pool if b.weight(x) == one and x * x == x), limit))

@@ -507,6 +507,19 @@ def test_cli_verify_refuses_a_bad_option_before_the_first_run(option, capsys):
     assert "error=ValueError" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cli_verify_refuses_an_outdir_that_is_no_directory(kind, tmp_path, capsys):
+    # refused before any check runs, so no report line is printed and none is lost
+    outdir = tmp_path / "out"
+    if kind == "file":
+        outdir.write_text("", encoding="utf-8")
+    assert main(["verify", "--props", "P2.1,EX2.1", "--trials", "1", "--outdir", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error=NotADirectoryError" in captured.err
+    assert outdir.exists() == (kind == "file")
+
+
 def test_cli_negative_cap_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "k3.json"
     io.save(kpow(F2, 3), path)

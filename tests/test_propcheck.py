@@ -23,9 +23,11 @@ from baric import (
     bowtie,
     change_basis,
     check,
+    classify_scalar_action,
     decomposability,
     embedded_ideal_check,
     is_scalar_action,
+    kpow,
     normalize_weight_one_basis,
     project_ideal,
     property_flags,
@@ -35,8 +37,15 @@ from baric import (
     validate_weight,
 )
 from baric import io, propcheck, weights
-from baric.bowtie import associator_closed_blocks, commutator_closed_blocks
-from baric.catalog import componentwise
+from baric.algebra import Element
+from baric.bowtie import (
+    associativity_character,
+    associator_closed_blocks,
+    commutator_closed_blocks,
+    embed,
+    idempotent_family,
+)
+from baric.catalog import componentwise, dual_numbers
 from baric.ideals import DecompOutcome, Decomposability
 from baric.weights import BaricAlgebra
 
@@ -379,6 +388,135 @@ def test_each_check_reports_its_planted_fault(pid, name, fault, fragment, monkey
     report = check(pid, trials=3, seed=0)
     assert report.failures >= 1
     assert fragment in report.first_counterexample.splitlines()[1]
+
+
+def _in_the_opposite_algebra(x):
+    """x read in the algebra with every product reversed: weights and idempotents stay, e*f becomes f*e."""
+    a = x.algebra
+    return Element._raw(Algebra(a.field, a.dim, {(j, i, k): c for (i, j, k), c in a.entries()}), x.values)
+
+
+def _with_weight(b, coords):
+    """b with its weight replaced after it was validated."""
+    b.weight = Weight(b.field, coords)
+    return b
+
+
+def _doubled_basis_change(b):
+    """normalize_weight_one_basis with the change-of-basis matrix doubled: each new vector has weight two."""
+    normalized, t = normalize_weight_one_basis(b)
+    return normalized, Matrix.of(b.field, [[2 * c for c in row] for row in t.values])
+
+
+# Every other failure message of every check: (check id, propcheck name, wrong
+# function, a fragment of the failure message, trials). Each fault passes the
+# tests that come before its message in the check. The swapped EX6.1 bowtie
+# first differs in its split at n = 3, in trial 2. EX6.1's coordinate-sum row
+# runs trial 0 only: there n = 1, and its zeroed weight would make the bowtie
+# of a later trial refuse its factors.
+FAILURE_MESSAGES = [
+    pytest.param(
+        "P3.1", "structural_isos", lambda *bs: _flipped(structural_isos(*bs), "assoc_verified"),
+        "regrouping map failed verification", 3, id="P3.1-regrouping",
+    ),
+    pytest.param(
+        "P3.3", "idempotent_family", lambda bow, e1, e2, lam: embed(bow, "left", e1) + embed(bow, "right", e2),
+        "is not idempotent", 3, id="P3.3-idempotent",
+    ),
+    pytest.param(
+        "P3.3", "idempotent_family", lambda *args: _in_the_opposite_algebra(idempotent_family(*args)),
+        "family law ef=e fails", 3, id="P3.3-family-law",
+    ),
+    pytest.param(
+        "C4.1", "bowtie", _bowtie_with_doubled_weight, "embedding does not preserve weight", 3, id="C4.1-weight",
+    ),
+    pytest.param("C4.1", "enumerate_weights", lambda *args: [], "ambient weight is not unique", 3, id="C4.1-unique"),
+    pytest.param(
+        "P6.1", "associativity_character",
+        lambda *bs: _flipped(associativity_character(*bs), "scalar_action_left"),
+        "but factor laws=", 3, id="P6.1-factor-laws",
+    ),
+    pytest.param(
+        "L6.2", "normalize_weight_one_basis", lambda b: (SimpleNamespace(weight=Weight(b.field, [0] * b.dim)), None),
+        "normalized weight is not all ones", 3, id="L6.2-weight",
+    ),
+    pytest.param(
+        "L6.2", "normalize_weight_one_basis", _doubled_basis_change,
+        "a new basis vector does not have weight one", 3, id="L6.2-basis-weight",
+    ),
+    pytest.param(
+        "P6.3", "kpow", lambda field, n: kpow(field, n + 1),
+        "classification target is not the field power", 3, id="P6.3-target",
+    ),
+    pytest.param(
+        "P6.3", "classify_scalar_action",
+        lambda b: classify_scalar_action(b) or (Matrix.identity(b.field, b.dim), b),
+        "dual numbers wrongly classified", 3, id="P6.3-dual-numbers",
+    ),
+    pytest.param(
+        "C6.1", "property_flags", lambda a: _flipped(property_flags(a), "associative"),
+        "non-scalar-action factor is associative", 3, id="C6.1-control",
+    ),
+    pytest.param(
+        "C6.1", "scalar_action", lambda field, w: dual_numbers(field),
+        "scalar-action factors is not associative", 3, id="C6.1-associative",
+    ),
+    pytest.param(
+        "C6.1", "Matrix", SimpleNamespace(identity=lambda field, n: Matrix.of(field, [[0] * n] * n)),
+        "identity is not an isomorphism", 3, id="C6.1-identity",
+    ),
+    pytest.param(
+        "EX2.1", "kpow", lambda field, n: _with_weight(kpow(field, n), [1] + [0] * (n - 1)),
+        "field square has unexpected weight", 3, id="EX2.1-weight",
+    ),
+    pytest.param(
+        "EX2.1", "_random_element", lambda rng, b: dual_numbers(b.field).element([0, 1]),
+        "product law fails", 3, id="EX2.1-product-law",
+    ),
+    pytest.param(
+        "EX5.1", "kernel_ideal_bijection", lambda *args: SimpleNamespace(verified=False),
+        "pairing failed on the field square", 3, id="EX5.1-pairing",
+    ),
+    pytest.param(
+        "EX5.1", "kernel_ideal_bijection", lambda *args: SimpleNamespace(verified=True, bowtie_ideals=[]),
+        "unexpected proper ideals", 3, id="EX5.1-proper-ideals",
+    ),
+    pytest.param(
+        "EX6.1", "property_flags", lambda a: _flipped(property_flags(a), "commutative"),
+        "wrong commutativity", 3, id="EX6.1-commutativity",
+    ),
+    pytest.param(
+        "EX6.1", "bowtie", lambda b1, b2: bowtie(b2, b1), "iterated product differs", 3, id="EX6.1-iterated",
+    ),
+    pytest.param(
+        "EX6.1", "kpow", lambda field, n: _with_weight(kpow(field, n), [0] * n),
+        "power weight is not the coordinate sum", 1, id="EX6.1-coordinate-sum",
+    ),
+]
+
+
+@pytest.mark.parametrize("pid, name, fault, fragment, trials", FAILURE_MESSAGES)
+def test_each_failure_message_is_reached_by_its_fault(pid, name, fault, fragment, trials, monkeypatch):
+    monkeypatch.setattr(propcheck, name, fault)
+    report = check(pid, trials=trials, seed=0)
+    assert report.failures >= 1
+    assert fragment in report.first_counterexample.splitlines()[1]
+
+
+@pytest.mark.parametrize("config", [None, RunConfig(field=F3)], ids=["p2", "p3"])
+def test_p55_falls_back_to_a_fixed_pair_when_no_draw_is_indecomposable(config, monkeypatch):
+    # K^3 with its first-coordinate weight has a decomposable kernel, so every draw is rejected
+    fallbacks = []
+
+    def counting_dual_numbers(field):
+        fallbacks.append(field)
+        return dual_numbers(field)
+
+    monkeypatch.setattr(propcheck, "random_baric", lambda field, dim, **kw: componentwise(field, 3))
+    monkeypatch.setattr(propcheck, "dual_numbers", counting_dual_numbers)
+    report = check("P5.5", trials=2, config=config)
+    assert report.failures == 0, report.first_counterexample
+    assert fallbacks == [config.field if config else F2] * 2
 
 
 def _opposite_change_basis(a, t):

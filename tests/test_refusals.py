@@ -22,6 +22,7 @@ from baric import (
     commutator_closed_form,
     embedded_ideal_check,
     enumerate_weights,
+    find_weight_one_idempotents,
     ideal_closure,
     kpow,
     project_ideal,
@@ -66,6 +67,10 @@ REFUSALS = {
     "elements of the rationals": (lambda: Q.elements(), FieldNotFinite),
     "iter_vectors over the rationals": (lambda: next(iter_vectors(Q, 2)), FieldNotFinite),
     "enumerate_weights over the rationals": (lambda: enumerate_weights(kpow(Q, 2).algebra), FieldNotFinite),
+    "idempotent search with a negative limit": (
+        lambda: find_weight_one_idempotents(K2, limit=-1),
+        ValueError,
+    ),
     "ideal_closure on no side": (lambda: ideal_closure(A, [X], Sided.NONE), ValueError),
     "ideal_closure of a foreign generator": (
         lambda: ideal_closure(A, [kpow(F3, 3).algebra.basis_element(0)]),

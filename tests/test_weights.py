@@ -28,8 +28,10 @@ from baric import (
     random_baric,
     validate_weight,
 )
+from baric import catalog, io, weights
 from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
 from baric.linalg import iter_vectors
+from baric.weights import BowtieTag
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -252,6 +254,35 @@ def test_find_weight_one_idempotents():
     found = find_weight_one_idempotents(k2)
     # every (a, b) with a + b = 1 is idempotent: x*x = w(x) x = x
     assert len(found) == 3
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=lambda f: f.token)
+def test_find_weight_one_idempotents_draws_no_candidate_past_the_limit(field, monkeypatch):
+    drawn = []
+
+    def counting_iter_vectors(*args):
+        for v in iter_vectors(*args):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr(weights, "iter_vectors", counting_iter_vectors)
+    b = kpow(field, 2)
+    assert find_weight_one_idempotents(b, limit=0) == []
+    assert drawn == []
+    assert len(find_weight_one_idempotents(b, limit=1)) == 1
+    # over F3 the scan stops at its first hit, (0, 1)
+    assert drawn == ([(0, 0), (0, 1)] if field.is_finite else [])
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=lambda f: f.token)
+def test_kpow_is_the_tagged_all_ones_scalar_action(field):
+    assert catalog.scalar_action is weights.scalar_action
+    for n in range(1, 6):
+        tagged = weights.scalar_action(field, [1] * n)
+        if n >= 2:
+            tagged.provenance = BowtieTag(n - 1, 1)
+            assert io.dumps(bowtie(kpow(field, n - 1), kpow(field, 1))) == io.dumps(tagged)
+        assert io.dumps(kpow(field, n)) == io.dumps(tagged)
 
 
 def _raw_idempotent_scan(b):
