@@ -10,17 +10,21 @@ canonical raw `values`, with `coords` a FieldElement view built when read.
 
 Every kernel takes raw values, and Element._raw builds the elements they
 compute; product_coords and Element(...) check caller input through
-FieldSpec.unwrap, the one door.
+FieldSpec.unwrap, the one door. Over Q the product kernels (times and the
+basis associators) clear denominators once and compute on Python ints,
+building one Fraction per nonzero value they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularTransform
 from .fields import FieldElement, FieldSpec
-from .linalg import Matrix, Subspace, kernel_basis, row_times_matrix, solve, span
+from .linalg import Matrix, Subspace, _cleared, _rational_sums, kernel_basis, row_times_matrix, solve, span
 
 
 class Algebra:
@@ -76,9 +80,16 @@ class Algebra:
     # (or ints) over Q. FieldSpec.wrap turns their output into elements.
 
     def times(self, x: Sequence, y: Sequence) -> list:
-        """Raw coordinates of x * y, from raw coordinates x and y."""
-        out = [0] * self.dim
+        """Raw coordinates of x * y, from raw coordinates x and y; over Q the sums
+        run on cleared ints, one Fraction per nonzero coordinate (linalg._rational_sums)."""
         by_pair = self._by_pair
+        if self.field.p is None:
+            dx, x = _cleared(x)
+            dy, y = _cleared(y)
+            terms = [(xi * yj, entries) for i, xi in enumerate(x) if xi
+                     for j, yj in enumerate(y) if yj and (entries := by_pair.get((i, j)))]
+            return _rational_sums(terms, self.dim, dx * dy)
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -238,8 +249,15 @@ def _basis_associators(by_pair: dict, n: int, p: int | None):
     Returns a function of (i, j) giving a new {k * n + t: A(i,j,k)_t} on
     each call, with the nonzero values only (reduced mod p over F_p), where
     A(i,j,k) = (e_i e_j) e_k - e_i (e_j e_k) = sum_m c[i,j,m] e_m e_k -
-    sum_m c[j,k,m] e_i e_m is summed over the nonzero constants only.
+    sum_m c[j,k,m] e_i e_m is summed over the nonzero constants only. Over
+    Q the sums run on ints: the table is cleared of denominators once, with
+    their lcm dc, and each nonzero value is one Fraction over dc^2.
     """
+    if p is None:
+        dc = lcm(*[c.denominator for row in by_pair.values() for _, c in row])
+        by_pair = {pair: tuple([(k, c.numerator * (dc // c.denominator)) for k, c in row])
+                   for pair, row in by_pair.items()}
+        scale = dc * dc
     starting = [[] for _ in range(n)]  # m -> ((k * n, row of e_m e_k), ...)
     for (m, k), row in by_pair.items():
         starting[m].append((k * n, row))
@@ -254,6 +272,8 @@ def _basis_associators(by_pair: dict, n: int, p: int | None):
             for m, c in jk:
                 for t, d in by_pair.get((i, m), ()):
                     acc[kn + t] = acc.get(kn + t, 0) - c * d
+        if p is None:
+            return {key: Fraction(v, scale) for key, v in acc.items() if v}
         return _sparse(acc, p)
 
     return block

@@ -6,13 +6,13 @@ solve, row_times_matrix, Subspace.contains_vector) checks them through
 FieldSpec.unwrap, the one door to raw values; every kernel computes on
 raw values (residues in [0, p) over F_p, Fractions over Q), Matrix._raw
 builds the matrices they compute, and FieldSpec.wrap turns results back
-into FieldElements. Elimination over Q clears each row's denominators
-once and runs fraction-free on Python ints, building one Fraction per
-nonzero entry of its result. Subspaces are stored by their reduced
-row-echelon rows as raw values, with zero rows removed, and the pivot
-column of each row. That is a canonical form: two subspaces are equal
-exactly when their stored rows are identical, so Subspace supports ==,
-hashing and set membership.
+into FieldElements. Elimination and products (row_times_matrix) over Q
+clear denominators once (_cleared) and run fraction-free on Python ints,
+building one Fraction per nonzero entry of their result. Subspaces are
+stored by their reduced row-echelon rows as raw values, with zero rows
+removed, and the pivot column of each row. That is a canonical form: two
+subspaces are equal exactly when their stored rows are identical, so
+Subspace supports ==, hashing and set membership.
 
 Over prime fields the module can also enumerate every subspace of an
 ambient space, walking reduced-echelon pivot patterns so that each
@@ -159,14 +159,40 @@ class Matrix:
 
 
 def row_times_matrix(v: Sequence[FieldElement], m: Matrix) -> Row:
-    """v @ m for a coordinate row vector v."""
+    """v @ m for a coordinate row vector v; over Q on cleared ints (see _rational_sums)."""
+    field = m.field
+    v = field.unwrap(v, m.nrows)
+    if field.p is None:
+        dv, v = _cleared(v)
+        rows = [(vi, [(j, rj) for j, rj in enumerate(r) if rj]) for vi, r in zip(v, m.values) if vi]
+        return field.wrap(_rational_sums(rows, m.ncols, dv))
     out = [0] * m.ncols
-    for vi, r in zip(m.field.unwrap(v, m.nrows), m.values):
+    for vi, r in zip(v, m.values):
         if vi:
             for j, rj in enumerate(r):
                 if rj:
                     out[j] += vi * rj
-    return m.field.wrap(out)
+    return field.wrap(out)
+
+
+def _cleared(values: Sequence) -> tuple[int, list[int]]:
+    """(d, ints): the lcm d of the denominators of raw Q values (ints or Fractions)
+    and the values times d, as ints."""
+    d = lcm(*[x.denominator for x in values])
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+def _rational_sums(terms: Sequence, n: int, d: int) -> list:
+    """The n raw Q sums of s * c at k over each (int s, ((k, Q value c), ...)) in
+    terms, divided by d. The denominators of the c are cleared with one lcm dc,
+    the sums run on ints, and each nonzero sum v becomes Fraction(v, d * dc)."""
+    dc = lcm(*[c.denominator for _, row in terms for _, c in row])
+    out = [0] * n
+    for s, row in terms:
+        for k, c in row:
+            out[k] += s * (c.numerator * (dc // c.denominator))
+    d *= dc
+    return [Fraction(v, d) if v else 0 for v in out]
 
 
 def _rref(field: FieldSpec, rows: Iterable[Sequence], ncols: int):
@@ -210,8 +236,8 @@ def _rref(field: FieldSpec, rows: Iterable[Sequence], ncols: int):
 
 
 def _rational_rref(rows: Iterable[Sequence], ncols: int, zero: Fraction):
-    """_rref over Q: each row's denominators are cleared once, then the
-    elimination is fraction-free Gauss-Jordan on ints.
+    """_rref over Q: each row's denominators are cleared once (_cleared),
+    then the elimination is fraction-free Gauss-Jordan on ints.
 
     With piv the new pivot and prev the one before it (1 at first), every
     row but the pivot row becomes (piv*a - f*b) // prev, f its entry in the
@@ -221,10 +247,7 @@ def _rational_rref(rows: Iterable[Sequence], ncols: int, zero: Fraction):
     is built per nonzero entry returned. Rows that become zero are dropped
     as they appear and returned as shared zero rows at the bottom.
     """
-    m = []
-    for row in rows:
-        d = lcm(*[x.denominator for x in row])
-        m.append([x.numerator * (d // x.denominator) for x in row])
+    m = [_cleared(row)[1] for row in rows]
     nrows = len(m)
     m = [row for row in m if any(row)]
     pivots: list[int] = []

@@ -674,14 +674,17 @@ def _check_ex61(rng, t, cfg):
         raise CheckFailure(f"power of dimension {n} is not associative")
     if flags.commutative != (n == 1):
         raise CheckFailure(f"power of dimension {n}: wrong commutativity")
-    iterated = kpow(field, 1)
-    for _ in range(n - 1):
-        iterated = bowtie(iterated, kpow(field, 1))
-    if iterated != power:
-        raise CheckFailure(f"iterated product differs from the direct power at n={n}")
     x = _random_element(rng, power)
     if power.weight(x) != field.element(sum(x.values)):
         raise CheckFailure("power weight is not the coordinate sum")
+    iterated = kpow(field, 1)
+    try:
+        for _ in range(n - 1):
+            iterated = bowtie(iterated, kpow(field, 1))
+    except WeightInvalid:
+        raise CheckFailure(f"iterated product refuses its factors at n={n}") from None
+    if iterated != power:
+        raise CheckFailure(f"iterated product differs from the direct power at n={n}")
 
 
 @dataclass(frozen=True)

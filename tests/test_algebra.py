@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -24,6 +25,7 @@ from baric import (
 )
 from baric import algebra as algebra_module
 from baric.algebra import _associator_laws, _find_unit
+from baric.bowtie import associator_closed_blocks
 from baric.catalog import componentwise, dual_numbers, group_algebra_z2, scalar_action, truncated_polynomials
 from baric.linalg import kernel_basis, span
 
@@ -471,3 +473,94 @@ def test_property_flags_of_kpow_f5_40_is_fast():
     flags = property_flags(a)
     assert time.perf_counter() - start < 1.0
     assert (flags.associative, flags.left_alternative, flags.unital) == (True, True, False)
+
+
+# Reference loops for the Q product kernels, which compute on cleared ints:
+# the same sums taken term by term in Fraction arithmetic.
+
+
+def _fraction_times(a, x, y):
+    out = [Fraction(0)] * a.dim
+    for (i, j), entries in a._by_pair.items():
+        if x[i] and y[j]:
+            for k, c in entries:
+                out[k] += Fraction(x[i]) * Fraction(y[j]) * c
+    return out
+
+
+def _fraction_associator_block(a, i, j):
+    """{k * n + t: A(i,j,k)_t}, nonzero values only, summed over the nonzero constants."""
+    n, by_pair, acc = a.dim, a._by_pair, {}
+    for m, c in by_pair.get((i, j), ()):
+        for k in range(n):
+            for t, d in by_pair.get((m, k), ()):
+                acc[k * n + t] = acc.get(k * n + t, 0) + c * d
+    for k in range(n):
+        for m, c in by_pair.get((j, k), ()):
+            for t, d in by_pair.get((i, m), ()):
+                acc[k * n + t] = acc.get(k * n + t, 0) - c * d
+    return {key: v for key, v in acc.items() if v}
+
+
+def _rational(rng):
+    """A Fraction with a mixed denominator, above 10^30 one time in eight; or an int, or 0."""
+    kind = rng.random()
+    if kind < 0.15:
+        return 0
+    if kind < 0.3:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 9, 10**31 + 9]))
+
+
+def _rational_vectors(rng, n):
+    """A random vector, zero vectors of ints and of Fractions, and basis vectors of both kinds."""
+    u, v = rng.randrange(n), rng.randrange(n)
+    return [[_rational(rng) for _ in range(n)], [0] * n, [Fraction(0)] * n,
+            [Fraction(int(m == u)) for m in range(n)], [int(m == v) for m in range(n)]]
+
+
+def _assert_rational_values(values):
+    assert all(type(v) is Fraction if v else v == 0 for v in values)
+
+
+def test_rational_times_matches_the_fraction_loop():
+    rng = random.Random(28)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        density = rng.choice([0.1, 0.4, 1.0])
+        a = Algebra(Q, n, {key: _rational(rng) for key in product(range(n), repeat=3) if rng.random() < density})
+        for x, y in product(_rational_vectors(rng, n), repeat=2):
+            got = a.times(x, y)
+            assert got == _fraction_times(a, x, y)
+            _assert_rational_values(got)
+            assert a.raw_associator(x, y, x) == [s - t for s, t in zip(
+                _fraction_times(a, _fraction_times(a, x, y), x), _fraction_times(a, x, _fraction_times(a, y, x)))]
+
+
+def test_rational_associator_blocks_match_the_fraction_loop():
+    rng = random.Random(6)
+    non_associative = 0
+    for n in range(1, 7):
+        for _ in range(3):
+            weight = [Fraction(rng.randint(1, 9), rng.randint(1, 4))] + [_rational(rng) for _ in range(n - 1)]
+            a = random_rational_baric(n, weight, seed=rng.randrange(2**32)).algebra
+            block = algebra_module._basis_associators(a._by_pair, n, None)
+            for i, j in product(range(n), repeat=2):
+                got = block(i, j)
+                assert got == _fraction_associator_block(a, i, j)
+                _assert_rational_values(got.values())
+                non_associative += bool(got)
+    assert non_associative
+
+
+def test_rational_closed_form_associator_blocks_match_the_product():
+    rng = random.Random(61)
+    for _ in range(12):
+        b1, b2 = (random_rational_baric(d, [Fraction(rng.randint(1, 5), rng.randint(1, 3))] * d, seed=rng.randrange(99))
+                  for d in (rng.randint(1, 3), rng.randint(1, 3)))
+        bow = bowtie(b1, b2)
+        n = bow.dim
+        direct = algebra_module._basis_associators(bow.algebra._by_pair, n, None)
+        closed = associator_closed_blocks(b1, b2)
+        for i, j in product(range(n), repeat=2):
+            assert direct(i, j) == closed(i, j) == _fraction_associator_block(bow.algebra, i, j)

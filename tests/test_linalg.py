@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from baric import (
+    Algebra,
     DimensionMismatch,
     EnumerationTooLarge,
     FieldMismatch,
@@ -19,6 +20,7 @@ from baric import (
     Matrix,
     SingularTransform,
     Subspace,
+    change_basis,
     enumerate_subspaces,
     kernel_basis,
     solve,
@@ -430,3 +432,61 @@ def test_rational_inverse_of_a_24x24_matrix_is_fast():
     inverse = m.inverse()
     assert time.perf_counter() - start < 0.1
     assert Matrix(Q, [row_times_matrix(r, inverse) for r in m.rows]) == Matrix.identity(Q, 24)
+
+
+def _fraction_row_times_matrix(v, m):
+    """v @ m term by term in Fraction arithmetic: the reference for row_times_matrix over Q."""
+    out = [Fraction(0)] * m.ncols
+    for vi, r in zip(v, m.values):
+        for j, rj in enumerate(r):
+            out[j] += Fraction(vi) * rj
+    return out
+
+
+def test_rational_row_times_matrix_matches_the_fraction_loop():
+    rng = random.Random(26)
+
+    def entry():  # mixed denominators, one above 10^30, and zeros half of the time
+        if rng.random() < 0.5:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 9, 10**31 + 9]))
+
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        m = Matrix._raw(Q, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols)
+        u = rng.randrange(max(nrows, 1))
+        for v in ([entry() for _ in range(nrows)], [0] * nrows, [int(i == u) for i in range(nrows)]):
+            got = row_times_matrix(Q.wrap(v), m)
+            assert [x.value for x in got] == _fraction_row_times_matrix(v, m)
+            assert all(type(x.value) is Fraction for x in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_rational_change_basis_matches_sympy(n, seed):
+    # c'[i,j,:] = (sum over a, b of T[i][a] T[j][b] c[a,b,:]) T^-1, in sympy's QQ
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 8, 10**31 + 9]))
+
+    density = rng.choice([0.2, 0.6, 1.0])
+    a = Algebra(Q, n, {key: entry() for key in product(range(n), repeat=3) if rng.random() < density})
+    t = Matrix._raw(Q, [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)], n)
+    oracle_t = _to_oracle(Q, t.rows, n)
+    try:
+        oracle_inverse = oracle_t.inv()
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(SingularTransform):
+            change_basis(a, t)
+        return
+    rows = oracle_t.to_list()
+    constants = [(key, QQ.convert(c)) for key, c in a.entries()]
+    expected = {}
+    for i, j in product(range(n), repeat=2):
+        product_ij = [QQ.zero] * n
+        for (p, q, k), c in constants:
+            product_ij[k] += rows[i][p] * rows[j][q] * c
+        new = (DomainMatrix([product_ij], (1, n), QQ) * oracle_inverse).to_list()[0]
+        expected.update({(i, j, k): x for k, x in enumerate(_from_oracle(Q, [new])[0]) if x})
+    assert dict(change_basis(a, t).entries()) == expected

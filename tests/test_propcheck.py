@@ -20,6 +20,7 @@ from baric import (
     Subspace,
     UnknownProposition,
     Weight,
+    WeightInvalid,
     bowtie,
     change_basis,
     check,
@@ -402,6 +403,10 @@ def _with_weight(b, coords):
     return b
 
 
+def _refusing_bowtie(b1, b2):
+    raise WeightInvalid("refused for the test")
+
+
 def _doubled_basis_change(b):
     """normalize_weight_one_basis with the change-of-basis matrix doubled: each new vector has weight two."""
     normalized, t = normalize_weight_one_basis(b)
@@ -412,8 +417,8 @@ def _doubled_basis_change(b):
 # function, a fragment of the failure message, trials). Each fault passes the
 # tests that come before its message in the check. The swapped EX6.1 bowtie
 # first differs in its split at n = 3, in trial 2. EX6.1's coordinate-sum row
-# runs trial 0 only: there n = 1, and its zeroed weight would make the bowtie
-# of a later trial refuse its factors.
+# runs trial 0 only; test_ex61_reports_a_zeroed_power_weight_at_every_n runs
+# the same fault at n = 1 to 4.
 FAILURE_MESSAGES = [
     pytest.param(
         "P3.1", "structural_isos", lambda *bs: _flipped(structural_isos(*bs), "assoc_verified"),
@@ -492,6 +497,9 @@ FAILURE_MESSAGES = [
         "EX6.1", "kpow", lambda field, n: _with_weight(kpow(field, n), [0] * n),
         "power weight is not the coordinate sum", 1, id="EX6.1-coordinate-sum",
     ),
+    pytest.param(
+        "EX6.1", "bowtie", _refusing_bowtie, "iterated product refuses its factors", 3, id="EX6.1-refused",
+    ),
 ]
 
 
@@ -501,6 +509,23 @@ def test_each_failure_message_is_reached_by_its_fault(pid, name, fault, fragment
     report = check(pid, trials=trials, seed=0)
     assert report.failures >= 1
     assert fragment in report.first_counterexample.splitlines()[1]
+
+
+def test_ex61_reports_a_zeroed_power_weight_at_every_n(monkeypatch):
+    # the coordinate-sum test runs before the iterated bowtie, which would refuse the zeroed factors
+    monkeypatch.setattr(propcheck, "kpow", lambda field, n: _with_weight(kpow(field, n), [0] * n))
+    spec, messages = propcheck.CHECKS["EX6.1"], []
+
+    def recording(rng, t, cfg):
+        try:
+            spec.run(rng, t, cfg)
+        except propcheck.CheckFailure as exc:
+            messages.append(str(exc))
+            raise
+
+    monkeypatch.setitem(propcheck.CHECKS, "EX6.1", replace(spec, run=recording))
+    assert check("EX6.1", trials=4, seed=0).failures == 4
+    assert messages == ["power weight is not the coordinate sum"] * 4
 
 
 @pytest.mark.parametrize("config", [None, RunConfig(field=F3)], ids=["p2", "p3"])
