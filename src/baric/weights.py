@@ -383,6 +383,12 @@ def find_weight_one_idempotents(
     are examined, so an empty result there does not mean that none exists.
     A limit stops the search once that many are found: a limit of 0 examines
     nothing and returns [], and a negative limit raises ValueError.
+
+    Each candidate x is tested for w(x) = 1 first, then for x^2 = x one
+    coordinate at a time (_square_is_self): a candidate is rejected at the
+    first coordinate of x^2 - x that is nonzero, so over F_p a rejection
+    costs about p/(p-1) quadratic forms of about n^2 work each, not an n^3
+    product.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -396,5 +402,30 @@ def find_weight_one_idempotents(
         unit = _find_unit(b.algebra)
         if unit is not None and unit not in pool:
             pool.append(unit)
+    square_is_self = _square_is_self(b.algebra)
     # islice tests the limit before it draws each candidate
-    return list(islice((x for x in pool if b.weight(x) == one and x * x == x), limit))
+    return list(islice((x for x in pool if b.weight(x) == one and square_is_self(x.values)), limit))
+
+
+def _square_is_self(algebra: Algebra):
+    """A test of x * x == x on raw coordinates, one coordinate of x * x at a time.
+
+    Coordinate k of x * x is the quadratic form sum_ij x_i x_j c[i,j,k],
+    kept as its nonzero rows only, {i: [c[i,0,k], ..., c[i,n-1,k]]}; the
+    test returns False at the first k where the form minus x_k is nonzero
+    (mod p over F_p).
+    """
+    n, p = algebra.dim, algebra.field.p
+    forms: list[dict] = [{} for _ in range(n)]
+    for (i, j), entries in algebra._by_pair.items():
+        for k, c in entries:
+            forms[k].setdefault(i, [0] * n)[j] = c
+
+    def square_is_self(x) -> bool:
+        for xk, form in zip(x, forms):
+            s = sum([xi * sum(map(mul, row, x)) for i, row in form.items() if (xi := x[i])]) - xk
+            if s if p is None else s % p:
+                return False
+        return True
+
+    return square_is_self

@@ -29,8 +29,10 @@ from baric import (
     validate_weight,
 )
 from baric import catalog, io, weights
+from baric.algebra import _find_unit
 from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
 from baric.linalg import iter_vectors
+from baric.propcheck import random_rational_baric
 from baric.weights import BowtieTag
 
 Q = FieldSpec.rationals()
@@ -311,6 +313,82 @@ def test_idempotent_scan_matches_a_raw_scan(field, max_dim):
         assert [x.values for x in find_weight_one_idempotents(b, limit=1)] == expected[:1]
         seen += len(expected)
     assert seen
+
+
+def _structured_tables(field, max_dim):
+    """Tables whose coordinate forms of x * x have zero rows, zero columns or no rows at all."""
+    p = field.p
+    for n in range(1, max_dim + 1):
+        yield kpow(field, n)
+        yield truncated_polynomials(field, n)
+        yield componentwise(field, n)
+        # the last coordinate of x * x is never reached: its form is empty
+        yield BaricAlgebra(Algebra(field, n, {(0, 0, 0): 1}), Weight(field, [1] + [0] * (n - 1)))
+        if n >= 2:
+            yield scalar_action(field, [1] + [0] * (n - 2) + [p - 1])
+            yield scalar_action(field, [0] * (n - 1) + [1])
+    yield dual_numbers(field)
+    yield catalog.group_algebra_z2(field)
+    for d1, d2 in product(range(1, max_dim), repeat=2):
+        if d1 + d2 <= max_dim:
+            left = random_baric(field, d1, commutative=True, unital=True, seed=d1)
+            right = random_baric(field, d2, seed=d2)
+            yield bowtie(left, right)
+            yield bowtie(right, left)
+
+
+@pytest.mark.parametrize(
+    "field, max_dim",
+    [(F2, 8), (F3, 6), (F5, 4), (FieldSpec.prime(31), 3)],
+    ids=["p2", "p3", "p5", "p31"],
+)
+def test_idempotent_scan_matches_a_raw_scan_on_structured_tables(field, max_dim):
+    # over F31 a coordinate's sum passes p^2 before it is reduced
+    seen = 0
+    for b in _structured_tables(field, max_dim):
+        expected = _raw_idempotent_scan(b)
+        assert [x.values for x in find_weight_one_idempotents(b)] == expected
+        assert [x.values for x in find_weight_one_idempotents(b, limit=1)] == expected[:1]
+        seen += len(expected)
+    assert seen
+
+
+def test_the_fp_scan_squares_no_candidate(monkeypatch):
+    b = random_baric(F3, 6, commutative=True, unital=True, seed=6)
+    # every vector of weight one reaches the x^2 = x test
+    candidates = sum(b.weight(x) == F3.one for x in map(b.element, iter_vectors(F3, 6)))
+    products = []
+    times = Algebra.times
+
+    def counted(self, x, y):
+        products.append((x, y))
+        return times(self, x, y)
+
+    monkeypatch.setattr(Algebra, "times", counted)
+    found = find_weight_one_idempotents(b)
+    assert products == []
+    assert candidates == 3**5
+    assert [x.values for x in found] == _raw_idempotent_scan(b)
+
+
+def test_the_rational_pool_keeps_the_candidates_that_square_to_themselves():
+    kept = dropped = 0
+    # K[x]/(x^3) on the basis 1 + x, x, x^2: its unit 1 is no rescaled basis vector
+    t = Matrix.of(Q, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    shifted = change_basis(truncated_polynomials(Q, 3).algebra, t)
+    bs = [scalar_action(Q, [2, 3]), truncated_polynomials(Q, 3), BaricAlgebra(shifted, Weight(Q, [1, 0, 0]))]
+    bs += [random_rational_baric(n, [1] + [seed % 3 - 1] * (n - 1), seed=seed)
+           for n in range(1, 6) for seed in range(6)]
+    for b in bs:
+        pool = [b.basis_element(i).scaled(Q.one / wi) for i, wi in enumerate(b.weight.coords) if wi]
+        unit = _find_unit(b.algebra)
+        if unit is not None and unit not in pool:
+            pool.append(unit)
+        expected = [x for x in pool if x * x == x]
+        assert find_weight_one_idempotents(b) == expected
+        kept += len(expected)
+        dropped += len(pool) - len(expected)
+    assert kept and dropped
 
 
 def test_iter_vectors_yields_residue_tuples_in_lexicographic_order():
