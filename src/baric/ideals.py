@@ -85,8 +85,7 @@ def sidedness(a: Algebra, s: Subspace) -> Sided:
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
-    check_subspace(a, s)
-    return _closed(a, s, left=False) and _closed(a, s, left=True)
+    return sidedness(a, s) is Sided.TWO_SIDED
 
 
 def ideal_closure(a: Algebra, gens: Sequence[Element], side: Sided | str = Sided.TWO_SIDED) -> Ideal:

@@ -6,13 +6,13 @@ solve, row_times_matrix, Subspace.contains_vector) checks them through
 FieldSpec.unwrap, the one door to raw values; every kernel computes on
 raw values (residues in [0, p) over F_p, Fractions over Q), Matrix._raw
 builds the matrices they compute, and FieldSpec.wrap turns results back
-into FieldElements. Elimination and products (row_times_matrix) over Q
-clear denominators once (_cleared) and run fraction-free on Python ints,
-building one Fraction per nonzero entry of their result. Subspaces are
-stored by their reduced row-echelon rows as raw values, with zero rows
-removed, and the pivot column of each row. That is a canonical form: two
-subspaces are equal exactly when their stored rows are identical, so
-Subspace supports ==, hashing and set membership.
+into FieldElements. One Gauss-Jordan sweep (_rref) eliminates over both
+fields; it and row_times_matrix clear Q denominators once (_cleared), run
+on Python ints and build one Fraction per nonzero entry of the result.
+Subspaces are stored by their reduced row-echelon rows as raw values, with
+zero rows removed, and the pivot column of each row. That is a canonical
+form: two subspaces are equal exactly when their stored rows are
+identical, so Subspace supports ==, hashing and set membership.
 
 Over prime fields the module can also enumerate every subspace of an
 ambient space, walking reduced-echelon pivot patterns so that each
@@ -200,83 +200,60 @@ def _rref(field: FieldSpec, rows: Iterable[Sequence], ncols: int):
 
     The input rows are canonical raw values (residues in [0, p) over F_p,
     Fractions over Q), as Matrix.values holds them; so are the returned
-    rows, zero rows at the bottom. Over Q the elimination runs on Python
-    ints (see _rational_rref); over F_p it runs on residues.
+    rows, zero rows at the bottom. One sweep serves both fields: each pivot
+    row is swapped up to row r and its column cleared in every other row,
+    f being that row's entry there. Over F_p the pivot row is scaled to 1
+    and the others become (a - f*b) % p. Over Q each row is cleared once
+    (_cleared) and, with piv the pivot and prev the one before (1 at first),
+    the others become (piv*a - f*b) // prev on ints, an exact division
+    (Bareiss, Math. Comp. 22, 1968; for Gauss-Jordan, Nakos, Turner &
+    Williams, SIGSAM Bull. 1997); so each pivot row ends as the last pivot
+    times its RREF row, and one Fraction is built per nonzero entry. Only
+    over Q are zero rows dropped as they appear: over F_p piv = prev = 1, a
+    zero row costs two tests per pivot, and dropping them more than doubled
+    the unit and centre systems of componentwise(F_2, 120).
     """
     p = field.p
-    if p is None:
-        return _rational_rref(rows, ncols, field.zero.value)
-    m = [list(r) for r in rows]
-    nrows = len(m)
+    m = [list(row) for row in rows] if p else [_cleared(row)[1] for row in rows]
+    nrows = size = len(m)
     pivots: list[int] = []
-    r = 0
+    prev, r = 1, 0
     for c in range(ncols):
-        if r == nrows:
+        if r == size:
             break
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        if piv != 1:
-            inv = pow(piv, -1, p)
-            m[r] = [x * inv % p for x in m[r]]
-        pivot_row = m[r]
-        for i in range(nrows):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot_row)]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in m], pivots
-
-
-def _rational_rref(rows: Iterable[Sequence], ncols: int, zero: Fraction):
-    """_rref over Q: each row's denominators are cleared once (_cleared),
-    then the elimination is fraction-free Gauss-Jordan on ints.
-
-    With piv the new pivot and prev the one before it (1 at first), every
-    row but the pivot row becomes (piv*a - f*b) // prev, f its entry in the
-    pivot column; the division is exact (Bareiss, Math. Comp. 22, 1968; in
-    Gauss-Jordan form, Nakos, Turner & Williams, SIGSAM Bull. 1997). Every
-    pivot row ends as D times its RREF row, D the last pivot, so one Fraction
-    is built per nonzero entry returned. Rows that become zero are dropped
-    as they appear and returned as shared zero rows at the bottom.
-    """
-    m = [_cleared(row)[1] for row in rows]
-    nrows = len(m)
-    m = [row for row in m if any(row)]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        for pr in range(r, len(m)):
+        for pr in range(r, size):
             if m[pr][c]:
                 break
         else:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pivot_row = m[r]
+        pivot_row = m[pr]
+        m[pr] = m[r]
         piv = pivot_row[c]
+        if piv != 1 and p:
+            inv = pow(piv, -1, p)
+            pivot_row = [x * inv % p for x in pivot_row]
+            piv = 1
+        m[r] = pivot_row
         for i, row in enumerate(m):
-            if i == r:
-                continue
             f = row[c]
-            if f:
-                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, pivot_row)]
-            elif piv != prev:
-                m[i] = [piv * a // prev for a in row]
-        m[r + 1 :] = [row for row in m[r + 1 :] if any(row)]
+            if not f:
+                if piv != prev:
+                    m[i] = [piv * a // prev for a in row]
+            elif i != r:
+                if p:
+                    m[i] = [(a - f * b) % p for a, b in zip(row, pivot_row)]
+                else:
+                    m[i] = [(piv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        if not p:
+            m[r + 1 :] = [row for row in m[r + 1 :] if any(row)]
+            size, prev = len(m), piv
         pivots.append(c)
-        prev = piv
-    reduced = [tuple([Fraction(a, prev) if a else zero for a in row]) for row in m]
-    return reduced + [(zero,) * ncols] * (nrows - len(m)), pivots
+        r += 1
+    if not p:
+        zero = field.zero.value
+        m = [[Fraction(a, prev) if a else zero for a in row] for row in m]
+        m += [(zero,) * ncols] * (nrows - size)
+    return [tuple(row) for row in m], pivots
 
 
 def kernel_basis(m: Matrix) -> list[Row]:

@@ -331,24 +331,24 @@ def test_inverse_matches_sympy(m):
 
 @st.composite
 def rational_matrices(draw, square=False):
-    """A matrix over Q at the shapes the library eliminates, built through Matrix._raw.
+    """A field from ORACLE_FIELDS and a matrix over it at the shapes the library
+    eliminates, built through Matrix._raw.
 
     Square n x n up to n = 12, which inverse augments to n x 2n, or else one
     of n x n, n x 2n and the tall n^2 x n systems of the unit and centre
-    solvers, up to n = 7. Numerators lie in -50..50 and denominators in
-    1..9. Zeros are int 0s, as _find_unit and commutative_center pass them.
-    A column, or a row of a square matrix, may be the negative of an
-    earlier one, so that ranks drop and free columns appear.
+    solvers, up to n = 7. Over Q numerators lie in -50..50 and denominators
+    in 1..9; over F_p nonzero entries are residues 1..p-1. Zeros are int 0s,
+    as _find_unit and commutative_center pass them. A column, or a row of a
+    square matrix, may be the negative of an earlier one, so that ranks drop
+    and free columns appear.
     """
+    field = draw(st.sampled_from(ORACLE_FIELDS))
     n = draw(st.integers(1, 12 if square else 7))
     nrows, ncols = (n, n) if square else draw(st.sampled_from([(n, n), (n, 2 * n), (n * n, n)]))
     zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
     # entries come from a drawn seed: an n^2 x n matrix is too large to draw entrywise
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    rows = [
-        [0 if rng.random() < zeros else Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(ncols)]
-        for _ in range(nrows)
-    ]
+    rows = [[0 if rng.random() < zeros else _random_entry(rng, field) for _ in range(ncols)] for _ in range(nrows)]
     if ncols > 1 and draw(st.booleans()):
         j = draw(st.integers(1, ncols - 1))
         i = draw(st.integers(0, j - 1))
@@ -357,71 +357,85 @@ def rational_matrices(draw, square=False):
     if square and n > 1 and draw(st.booleans()):
         j = draw(st.integers(1, n - 1))
         rows[j] = [-x for x in rows[draw(st.integers(0, j - 1))]]
-    return Matrix._raw(Q, rows, ncols)
+    return Matrix._raw(field, rows, ncols)
 
 
-def _all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row)
+def _random_entry(rng, field):
+    """One drawn raw entry: a Fraction over Q, a residue 1..p-1 over F_p."""
+    if field.p is None:
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+    return rng.randint(1, field.p - 1)
 
 
-@settings(max_examples=60, deadline=None)
+def _canonical(field, rows):
+    """Every raw entry is a Fraction over Q, an int in [0, p) over F_p."""
+    if field.p is None:
+        return all(type(x) is Fraction for row in rows for x in row)
+    return all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_rational_rref_and_rank_match_sympy(m):
     rows, pivots = _oracle_rref(m)
     reduced = m.rref()
     assert [list(r) for r in reduced.values[: len(pivots)]] == rows
     assert not any(any(r) for r in reduced.values[len(pivots) :])
-    s = span(Q, m.ncols, m.rows)
+    s = span(m.field, m.ncols, m.rows)
     assert [list(r) for r in s.rows] == rows and list(s.pivots) == pivots
     assert m.rank() == len(pivots)
-    assert _all_fractions(reduced.values) and _all_fractions(s.rows)
+    assert _canonical(m.field, reduced.values) and _canonical(m.field, s.rows)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_rational_kernel_basis_matches_sympy(m):
-    oracle = _to_oracle(Q, m.rows, m.ncols).nullspace()
-    oracle_rows, _ = _oracle_rref(Matrix.of(Q, _from_oracle(Q, oracle.to_list()), m.ncols))
+    field = m.field
+    oracle = _to_oracle(field, m.rows, m.ncols).nullspace()
+    oracle_rows, _ = _oracle_rref(Matrix.of(field, _from_oracle(field, oracle.to_list()), m.ncols))
     basis = kernel_basis(m)
-    ours = span(Q, m.ncols, basis) if basis else Subspace.zero_space(Q, m.ncols)
+    ours = span(field, m.ncols, basis) if basis else Subspace.zero_space(field, m.ncols)
     assert len(basis) == len(oracle_rows)
     assert [list(r) for r in ours.rows] == oracle_rows
+    assert _canonical(field, _values(basis)) and _canonical(field, ours.rows)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(rational_matrices(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_rational_solve_matches_sympy(m, consistent, seed):
+    field = m.field
     rng = random.Random(seed)
     if consistent:  # b = m x: a tall system is almost never consistent otherwise
-        x0 = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(m.ncols)]
-        b = [sum((a * c for a, c in zip(row, x0)), Fraction(0)) for row in m.values]
+        x0 = [_random_entry(rng, field) for _ in range(m.ncols)]
+        b = [sum(a * c for a, c in zip(row, x0)) for row in m.values]
     else:
-        b = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(m.nrows)]
-    b = Q.wrap(b)
-    reduced, pivots = _to_oracle(Q, [r + (c,) for r, c in zip(m.rows, b)], m.ncols + 1).rref()
+        b = [_random_entry(rng, field) for _ in range(m.nrows)]
+    b = field.wrap(b)
+    reduced, pivots = _to_oracle(field, [r + (c,) for r, c in zip(m.rows, b)], m.ncols + 1).rref()
     x = solve(m, b)
     if m.ncols in pivots:
         assert x is None and not consistent
         return
     expected = [0] * m.ncols
-    reduced = _from_oracle(Q, reduced.to_list())
+    reduced = _from_oracle(field, reduced.to_list())
     for r, pc in enumerate(pivots):
         expected[pc] = reduced[r][m.ncols]
     assert x is not None and [v.value for v in x] == expected
+    assert _canonical(field, _values([x]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(rational_matrices(square=True))
 def test_rational_inverse_matches_sympy(m):
     try:
-        expected = _from_oracle(Q, _to_oracle(Q, m.rows, m.ncols).inv().to_list())
+        expected = _from_oracle(m.field, _to_oracle(m.field, m.rows, m.ncols).inv().to_list())
     except DMNonInvertibleMatrixError:
         with pytest.raises(SingularTransform):
             m.inverse()
         return
     inverse = m.inverse()
     assert [list(r) for r in inverse.values] == expected
-    assert _all_fractions(inverse.values)
+    assert _canonical(m.field, inverse.values)
 
 
 def test_rational_inverse_of_a_24x24_matrix_is_fast():
