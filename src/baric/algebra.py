@@ -10,9 +10,14 @@ canonical raw `values`, with `coords` a FieldElement view built when read.
 
 Every kernel takes raw values, and Element._raw builds the elements they
 compute; product_coords and Element(...) check caller input through
-FieldSpec.unwrap, the one door. Over Q the product kernels (times and the
-basis associators) clear denominators once and compute on Python ints,
-building one Fraction per nonzero value they return.
+FieldSpec.unwrap, the one door. Algebra(...) reads caller constants through
+FieldSpec.element and checks their indices; Algebra._raw, beside
+Element._raw, Matrix._raw and FieldElement._raw, takes the canonical
+nonzero constants the library computes (change_basis, bowtie, factor,
+random_baric, scalar_action) and only groups them by pair. Over Q the
+product kernels (times and the basis associators) clear denominators once
+and compute on Python ints, building one Fraction per nonzero value they
+return.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularTransform
 from .fields import FieldElement, FieldSpec
-from .linalg import Matrix, Subspace, _cleared, _rational_sums, kernel_basis, row_times_matrix, solve, span
+from .linalg import Matrix, Subspace, _cleared, _rational_sums, kernel_basis, solve, span
+
+
+def check_dim(dim) -> None:
+    """Refuse an algebra dimension that is not an int of at least 1 (a bool or a float included)."""
+    if type(dim) is not int or dim < 1:
+        raise DimensionMismatch(f"algebra dimension must be an int of at least 1, got {dim!r}")
 
 
 class Algebra:
@@ -40,28 +51,38 @@ class Algebra:
         table: Mapping[tuple[int, int, int], object],
         basis_names: Sequence[str] | None = None,
     ):
-        if type(dim) is not int or dim < 1:
-            raise DimensionMismatch(f"algebra dimension must be an int of at least 1, got {dim!r}")
-        clean = []
+        check_dim(dim)
+        clean = {}
         for (i, j, k), v in table.items():
             if not (type(i) is type(j) is type(k) is int
                     and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionMismatch(f"index ({i!r},{j!r},{k!r}) out of range for dim {dim}")
             c = field.element(v).value
             if c:
-                clean.append(((i, j, k), c))
-        # (i, j) -> ((k, c), ...) in lexicographic order, raw values only
-        by_pair: dict[tuple[int, int], list[tuple[int, object]]] = {}
-        for (i, j, k), c in sorted(clean):
-            by_pair.setdefault((i, j), []).append((k, c))
+                clean[(i, j, k)] = c
         if basis_names is not None:
             basis_names = tuple(basis_names)
             if len(basis_names) != dim:
                 raise DimensionMismatch("one basis name per dimension")
+        self._fill(field, dim, clean, basis_names)
+
+    @classmethod
+    def _raw(cls, field: FieldSpec, dim: int, table: Mapping, basis_names: Sequence[str] | None = None):
+        """The algebra with canonical, nonzero raw constants computed by the library,
+        at in-range int indices; they are only sorted and grouped by pair."""
+        self = object.__new__(cls)
+        self._fill(field, dim, table, basis_names)
+        return self
+
+    def _fill(self, field: FieldSpec, dim: int, table: Mapping, basis_names) -> None:
+        # (i, j) -> ((k, c), ...) in lexicographic order, raw values only
+        by_pair: dict[tuple[int, int], list[tuple[int, object]]] = {}
+        for (i, j, k), c in table.items():
+            by_pair.setdefault((i, j), []).append((k, c))
         self.field = field
         self.dim = dim
-        self.basis_names = basis_names
-        self._by_pair = {p: tuple(entries) for p, entries in by_pair.items()}
+        self.basis_names = None if basis_names is None else tuple(basis_names)
+        self._by_pair = {p: tuple(sorted(by_pair[p])) for p in sorted(by_pair)}
 
     def entries(self) -> Iterator[tuple[tuple[int, int, int], object]]:
         """The nonzero constants as ((i, j, k), raw c), in lexicographic order."""
@@ -415,7 +436,13 @@ def commutative_center(a: Algebra) -> Subspace:
 
 
 def change_basis(a: Algebra, t: Matrix) -> Algebra:
-    """Structure constants of the same product in the basis e'_i = sum_j T[i][j] e_j."""
+    """Structure constants of the same product in the basis e'_i = sum_j T[i][j] e_j.
+
+    Each product e'_i e'_j (product_coords) is mapped back through T^-1,
+    which is cleared once per call: one lcm d of its denominators over Q,
+    and the nonzero entries of each row. So the n^2 products are applied on
+    ints, with one Fraction per nonzero constant.
+    """
     if t.nrows != a.dim or t.ncols != a.dim:
         raise DimensionMismatch(f"basis change must be {a.dim}x{a.dim}")
     if t.field is not a.field:
@@ -424,13 +451,30 @@ def change_basis(a: Algebra, t: Matrix) -> Algebra:
         tinv = t.inverse()
     except SingularTransform:
         raise SingularTransform("basis change matrix is singular") from None
+    n, p = a.dim, a.field.p
+    inv = tinv.values
+    if p is None:
+        d, flat = _cleared([x for row in inv for x in row])
+        inv = [flat[r * n : (r + 1) * n] for r in range(n)]
+    inv = [[(k, x) for k, x in enumerate(row) if x] for row in inv]
     rows = t.rows
-    table: dict[tuple[int, int, int], FieldElement] = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod_old = a.product_coords(rows[i], rows[j])
-            prod_new = row_times_matrix(prod_old, tinv)
-            for k, v in enumerate(prod_new):
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            prod = [c.value for c in a.product_coords(rows[i], rows[j])]
+            if p is None:
+                dp, prod = _cleared(prod)
+                scale = d * dp
+            out = [0] * n
+            for s, row in zip(prod, inv):
+                if s:
+                    for k, x in row:
+                        out[k] += s * x
+            for k, v in enumerate(out):
+                if p:
+                    v %= p
+                elif v:
+                    v = Fraction(v, scale)
                 if v:
                     table[(i, j, k)] = v
-    return Algebra(a.field, a.dim, table)
+    return Algebra._raw(a.field, n, table)

@@ -57,13 +57,19 @@ from .weights import (
 
 
 def bowtie(b1: BaricAlgebra, b2: BaricAlgebra) -> BaricAlgebra:
-    """Build (A1 bowtie A2, w1 bowtie w2) on the concatenated bases."""
+    """Build (A1 bowtie A2, w1 bowtie w2) on the concatenated bases.
+
+    The constants are the factors' canonical ones and their weights', and
+    w1 | w2 is a weight of the product by Proposition 2.1 of the paper, so
+    the result is built raw, with no second reading or validation; P2.1 in
+    propcheck tests that statement.
+    """
     if b1.field is not b2.field:
         raise FieldMismatch("factors must share a field")
     w1, w2 = b1.weight.values, b2.weight.values
     table = bowtie_table(b1.algebra.entries(), w1, b2.algebra.entries(), w2)
-    weight = Weight(b1.field, w1 + w2)
-    return BaricAlgebra(Algebra(b1.field, b1.dim + b2.dim, table), weight, BowtieTag(b1.dim, b2.dim))
+    algebra = Algebra._raw(b1.field, b1.dim + b2.dim, table)
+    return BaricAlgebra._raw(algebra, Weight(b1.field, w1 + w2), BowtieTag(b1.dim, b2.dim))
 
 
 def bowtie_table(entries1, w1: tuple, entries2, w2: tuple) -> dict:
@@ -100,7 +106,8 @@ def factor(b: BaricAlgebra, side: str) -> BaricAlgebra:
     if b.algebra.basis_names is not None:
         names = b.algebra.basis_names[lo : lo + size]
     weight = Weight(b.field, b.weight.values[lo : lo + size])
-    return BaricAlgebra(Algebra(b.field, size, table, names), weight)
+    # any tag can be attached from Python, so the block's weight is validated
+    return BaricAlgebra(Algebra._raw(b.field, size, table, names), weight)
 
 
 def block_table(a: Algebra, lo: int, size: int) -> dict:

@@ -33,6 +33,7 @@ from .algebra import (
     _find_unit,
     associator,
     change_basis,
+    check_dim,
     commutative_center,
     commutator,
     property_flags,
@@ -80,6 +81,7 @@ from .weights import (
     is_scalar_action,
     kpow,
     normalize_weight_one_basis,
+    validate_weight,
 )
 
 
@@ -178,6 +180,7 @@ def random_baric(
     """
     if not field.is_finite:
         raise FieldNotFinite("random_baric samples over prime fields")
+    check_dim(dim)
     p = field.p
     rng = random.Random(seed)
     w = [1] + [rng.randrange(p) for _ in range(dim - 1)]
@@ -192,7 +195,7 @@ def random_baric(
             start=int(unital), commutative=commutative,
         )
     )
-    return BaricAlgebra(Algebra(field, dim, table), Weight(field, w))
+    return BaricAlgebra._raw(Algebra._raw(field, dim, table), Weight(field, w))
 
 
 def random_rational_baric(dim: int, weight, seed: int = 0) -> BaricAlgebra:
@@ -202,6 +205,7 @@ def random_rational_baric(dim: int, weight, seed: int = 0) -> BaricAlgebra:
     from -2..2; the leading weight coordinate must be nonzero so the
     leading coefficient can be solved.
     """
+    check_dim(dim)
     field = FieldSpec.rationals()
     w = Weight(field, weight)
     if len(w) != dim:
@@ -215,7 +219,7 @@ def random_rational_baric(dim: int, weight, seed: int = 0) -> BaricAlgebra:
         lambda: Fraction(rng.randint(-2, 2)),
         lambda r: r / w.values[0],
     )
-    return BaricAlgebra(Algebra(field, dim, table), w)
+    return BaricAlgebra._raw(Algebra._raw(field, dim, table), w)
 
 
 def _associative_generator(field: FieldSpec, rng: random.Random) -> BaricAlgebra:
@@ -290,6 +294,9 @@ def _check_p21(rng, t, cfg):
         x, y = _random_element(rng, bow), _random_element(rng, bow)
         if bow.weight(x * y) != bow.weight(x) * bow.weight(y):
             raise CheckFailure(f"weight not multiplicative at x={x!r} y={y!r}", b1, b2)
+    # bowtie trusts Proposition 2.1, so the statement is decided here on every basis pair
+    if not validate_weight(bow.algebra, bow.weight):
+        raise CheckFailure("combined weight is not multiplicative", b1, b2)
 
 
 def _check_p31(rng, t, cfg):

@@ -6,6 +6,15 @@ its coordinate vector on the chosen basis (`coords` is a FieldElement
 view). The homomorphism condition on basis pairs, sum_k c[i,j,k] w_k =
 w_i w_j, is checked on construction, so a BaricAlgebra is valid by the
 time you hold one.
+
+BaricAlgebra._raw skips that check for the weights the library makes
+valid by construction: bowtie's w1 | w2 (Proposition 2.1 of the paper),
+random_baric's and random_rational_baric's (_pivot_table solves each
+c[i,j,0] from the condition), scalar_action's (any nonzero w satisfies
+w(e_i e_j) = w_j w_i) and normalize_weight_one_basis's (the weight pulled
+back along an invertible T). Documents, the catalog and every public
+constructor keep the check; propcheck's P2.1 tests the paper's statement
+on each product it builds.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from itertools import islice
 from operator import mul
 from typing import Sequence
 
-from .algebra import Algebra, Element, _find_unit, change_basis
+from .algebra import Algebra, Element, _find_unit, change_basis, check_dim
 from .errors import (
     CharacteristicObstruction,
     DimensionMismatch,
@@ -118,7 +127,11 @@ def validate_weight(algebra: Algebra, weight: Weight) -> bool:
 
 
 class BaricAlgebra:
-    """An algebra paired with a validated weight functional."""
+    """An algebra paired with a validated weight functional.
+
+    BaricAlgebra(...) validates the weight; BaricAlgebra._raw pairs a weight
+    that is valid by construction (see the module docstring) without it.
+    """
 
     __slots__ = ("algebra", "weight", "provenance")
 
@@ -128,6 +141,15 @@ class BaricAlgebra:
         self.algebra = algebra
         self.weight = weight
         self.provenance = provenance
+
+    @classmethod
+    def _raw(cls, algebra: Algebra, weight: Weight, provenance: BowtieTag | None = None) -> "BaricAlgebra":
+        """The pair of an algebra and a weight the library built valid, not validated again."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.weight = weight
+        self.provenance = provenance
+        return self
 
     @property
     def dim(self) -> int:
@@ -294,7 +316,7 @@ def normalize_weight_one_basis(b: BaricAlgebra) -> tuple[BaricAlgebra, Matrix]:
 
     new_algebra = change_basis(b.algebra, t)
     new_weight = Weight(field, [b.weight(row) for row in rows])
-    return BaricAlgebra(new_algebra, new_weight), t
+    return BaricAlgebra._raw(new_algebra, new_weight), t
 
 
 def scalar_action_table(weight: Weight) -> dict:
@@ -309,9 +331,16 @@ def is_scalar_action(b: BaricAlgebra) -> bool:
 
 
 def scalar_action(field: FieldSpec, weights: Sequence) -> BaricAlgebra:
-    """The algebra with x*y = w(y)*x on the chosen basis: c[i,j,k] = w_j 1{k=i}."""
-    w = Weight(field, weights)  # BaricAlgebra refuses a zero weight
-    return BaricAlgebra(Algebra(field, len(w), scalar_action_table(w)), w)
+    """The algebra with x*y = w(y)*x on the chosen basis: c[i,j,k] = w_j 1{k=i}.
+
+    Any nonzero w is a weight of it, w(e_i e_j) = w_j w_i; an empty w raises
+    DimensionMismatch and a zero one WeightInvalid.
+    """
+    w = Weight(field, weights)
+    check_dim(len(w))
+    if not w.is_nonzero:
+        raise WeightInvalid("weight is zero or not multiplicative on basis pairs")
+    return BaricAlgebra._raw(Algebra._raw(field, len(w), scalar_action_table(w)), w)
 
 
 def kpow(field: FieldSpec, n: int) -> BaricAlgebra:
@@ -336,8 +365,11 @@ def classify_scalar_action(b: BaricAlgebra) -> tuple[Matrix, BaricAlgebra] | Non
     all-ones weight, and iso is the matrix of a weight-preserving
     isomorphism onto it (baric_isomorphic_by(iso, b, target) holds).
     When the input is already in that normal form the isomorphism is the
-    identity; otherwise the weight-one basis construction runs and a
-    CharacteristicObstruction from it propagates.
+    identity; otherwise the weight-one basis construction of
+    normalize_weight_one_basis runs. Where its averaging meets a vanishing
+    partial weight sum over F_p, the kernel-shift basis is used instead
+    (_kernel_shift_basis), so every scalar action over every field
+    classifies onto K^n.
     """
     if not is_scalar_action(b):
         return None
@@ -345,10 +377,30 @@ def classify_scalar_action(b: BaricAlgebra) -> tuple[Matrix, BaricAlgebra] | Non
     target = kpow(b.field, n)
     if b.algebra == target.algebra and b.weight == target.weight:
         return Matrix.identity(b.field, n), target
-    normalized, t = normalize_weight_one_basis(b)
+    try:
+        normalized, t = normalize_weight_one_basis(b)
+    except CharacteristicObstruction:
+        t = _kernel_shift_basis(b)
+        weight = Weight(b.field, [b.weight.at(row) for row in t.values])
+        normalized = BaricAlgebra._raw(change_basis(b.algebra, t), weight)
     if normalized.algebra != target.algebra or normalized.weight != target.weight:
         raise AssertionError("scalar-action normalization missed the normal form")
     return t.inverse(), target
+
+
+def _kernel_shift_basis(b: BaricAlgebra) -> Matrix:
+    """A basis of weight-one vectors over any field: v, v + k_2, ..., v + k_n.
+
+    v is e_l / w_l for the first l with w_l nonzero and k_2 .. k_n are the
+    rows of Ker w, so the rows are invertible and each has weight one. In a
+    scalar action e'_i e'_j = w(e'_j) e'_i = e'_i in this basis.
+    """
+    field = b.field
+    lead = next(i for i, wi in enumerate(b.weight.values) if wi)
+    v = [0] * b.dim
+    v[lead] = (field.one / b.weight.coords[lead]).value
+    rows = [v] + [[a + c for a, c in zip(v, k)] for k in b.kernel().rows]
+    return Matrix._raw(field, rows, b.dim)
 
 
 def baric_isomorphic_by(f: Matrix, b1: BaricAlgebra, b2: BaricAlgebra) -> bool:

@@ -6,22 +6,29 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from baric import (
     Algebra,
+    BaricAlgebra,
+    CharacteristicObstruction,
     DimensionMismatch,
     FieldSpec,
     Matrix,
     SingularTransform,
+    Weight,
     associator,
     bowtie,
     change_basis,
     commutative_center,
     commutator,
     kpow,
+    normalize_weight_one_basis,
     property_flags,
     random_baric,
     random_rational_baric,
+    validate_weight,
 )
 from baric import algebra as algebra_module
 from baric.algebra import _associator_laws, _find_unit
@@ -564,3 +571,97 @@ def test_rational_closed_form_associator_blocks_match_the_product():
         closed = associator_closed_blocks(b1, b2)
         for i, j in product(range(n), repeat=2):
             assert direct(i, j) == closed(i, j) == _fraction_associator_block(bow.algebra, i, j)
+
+
+# -- raw builds ------------------------------------------------------------
+# The builders below make their constants themselves and build through
+# Algebra._raw and BaricAlgebra._raw. Each result must be what the checked
+# constructor makes of the same constants: the same entries in the same
+# order with the same value types, and a weight that validate_weight accepts.
+
+FIELDS = [F2, F3, F5, FieldSpec.prime(4099), Q]
+
+
+def _assert_agrees_with_a_checked_build(b):
+    a = b.algebra
+    checked = Algebra(a.field, a.dim, dict(a.entries()), a.basis_names)
+    raw_entries, checked_entries = list(a.entries()), list(checked.entries())
+    assert raw_entries == checked_entries
+    assert [type(c) for _, c in raw_entries] == [type(c) for _, c in checked_entries]
+    assert a.basis_names == checked.basis_names
+    assert validate_weight(a, b.weight)
+
+
+def _weights(field, n):
+    """Nonzero weight coordinates of length n: residues over F_p, small fractions over Q."""
+    if field.p is None:
+        scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    return st.lists(scalar, min_size=n, max_size=n).filter(any)
+
+
+@st.composite
+def _baric(draw, fields=FIELDS):
+    """A random baric algebra over one of the fields, as the library builds it."""
+    field = draw(st.sampled_from(fields))
+    n, seed = draw(st.integers(1, 4)), draw(st.integers(0, 10_000))
+    if field.p is None:
+        return random_rational_baric(n, draw(_weights(field, n).filter(lambda w: w[0])), seed=seed)
+    flags = draw(st.fixed_dictionaries({"commutative": st.booleans(), "unital": st.booleans()}))
+    return random_baric(field, n, seed=seed, **flags)
+
+
+def _invertible(field, n, seed):
+    rng = random.Random(seed)
+    while True:
+        if field.p is None:
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+        t = Matrix.of(field, rows)
+        if t.is_invertible:
+            return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(_baric())
+def test_random_baric_builds_raw_what_a_checked_build_makes(b):
+    _assert_agrees_with_a_checked_build(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_bowtie_builds_raw_what_a_checked_build_makes(field, data):
+    b1, b2 = data.draw(_baric([field])), data.draw(_baric([field]))
+    _assert_agrees_with_a_checked_build(bowtie(b1, b2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_scalar_action_builds_raw_what_a_checked_build_makes(field, data):
+    weights = data.draw(_weights(field, data.draw(st.integers(1, 5))))
+    _assert_agrees_with_a_checked_build(scalar_action(field, weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_baric(), st.integers(0, 10_000))
+def test_change_basis_builds_raw_what_a_checked_build_makes(b, seed):
+    t = _invertible(b.field, b.dim, seed)
+    moved = change_basis(b.algebra, t)
+    pulled_back = [b.weight.at(row) for row in t.values]
+    _assert_agrees_with_a_checked_build(BaricAlgebra(moved, Weight(b.field, pulled_back)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_normalize_weight_one_basis_builds_raw_what_a_checked_build_makes(field, data):
+    if data.draw(st.booleans()):
+        b = data.draw(_baric([field]))
+    else:
+        b = scalar_action(field, data.draw(_weights(field, data.draw(st.integers(1, 5)))))
+    try:
+        normalized, _ = normalize_weight_one_basis(b)
+    except CharacteristicObstruction:
+        assume(False)  # a partial weight sum vanished over F_p
+    _assert_agrees_with_a_checked_build(normalized)

@@ -279,6 +279,30 @@ def test_p21_reports_a_product_weight_that_is_not_multiplicative(monkeypatch):
     assert "left factor:" in text and "right factor:" in text
 
 
+def _raw_bowtie_with_doubled_cross_terms(b1, b2):
+    """_bowtie_with_doubled_cross_terms built raw, as bowtie builds: nothing on the way refuses it."""
+    n1, bow, p = b1.dim, bowtie(b1, b2), b1.field.p
+    table = {
+        (i, j, k): 2 * c % p if (i < n1) != (j < n1) else c for (i, j, k), c in bow.algebra.entries()
+    }
+    return BaricAlgebra._raw(Algebra._raw(bow.field, bow.dim, table), bow.weight, bow.provenance)
+
+
+def test_p21_decides_a_raw_product_weight_that_is_not_multiplicative(monkeypatch):
+    # bowtie no longer validates its weight, so P2.1 decides the statement itself
+    monkeypatch.setattr(propcheck, "bowtie", _raw_bowtie_with_doubled_cross_terms)
+    report = check("P2.1", trials=10)
+    assert report.failures == 10
+    text = report.first_counterexample
+    assert "not multiplicative" in text.splitlines()[1]
+    assert "left factor:" in text and "right factor:" in text
+    # with element trials that cannot see it, the basis-pair test still does
+    monkeypatch.setattr(propcheck, "_random_element", lambda rng, b: b.algebra.zero())
+    report = check("P2.1", trials=10)
+    assert report.failures == 10
+    assert report.first_counterexample.splitlines()[1] == "combined weight is not multiplicative"
+
+
 def _bowtie_with_doubled_weight(b1, b2):
     """bowtie whose weight is doubled after it was validated: 2w(xy) != 4w(x)w(y) over F5."""
     bow = bowtie(b1, b2)

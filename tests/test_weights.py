@@ -3,6 +3,8 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baric import (
     Algebra,
@@ -151,12 +153,43 @@ def test_classify_scalar_action_examples():
     assert classify_scalar_action(dual_numbers(Q)) is None
 
 
+def _fp_weights(field, max_dim):
+    """Nonzero residue weights of length 1 to max_dim."""
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n).filter(any)
+    )
+
+
+def _assert_classified_onto_the_field_power(b):
+    iso, target = classify_scalar_action(b)
+    assert target == kpow(b.field, b.dim)
+    assert baric_isomorphic_by(iso, b, target)
+
+
 def test_classify_scalar_action_obstruction():
-    with pytest.raises(CharacteristicObstruction):
-        classify_scalar_action(scalar_action(F2, [1, 1, 0]))
+    # the L6.2 averaging meets a vanishing partial weight sum on these; the
+    # kernel-shift basis classifies them onto K^n all the same
+    for b in (scalar_action(F2, [1, 1, 0]), scalar_action(F3, [1, 1, 1, 0])):
+        with pytest.raises(CharacteristicObstruction):
+            normalize_weight_one_basis(b)
+        _assert_classified_onto_the_field_power(b)
     # already-normal inputs classify over any field
     result = classify_scalar_action(kpow(F2, 2))
     assert result is not None and result[0] == Matrix.identity(F2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F2, F3, F5]), st.data())
+def test_every_fp_scalar_action_classifies_onto_the_field_power(field, data):
+    _assert_classified_onto_the_field_power(scalar_action(field, data.draw(_fp_weights(field, 6))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3, F5]), st.data())
+def test_every_fp_product_of_scalar_actions_classifies_onto_the_field_power(field, data):
+    # C6.1 over F_p: the product of two scalar actions is one, so it is K^(n1 + n2)
+    b1, b2 = (scalar_action(field, data.draw(_fp_weights(field, 3))) for _ in range(2))
+    _assert_classified_onto_the_field_power(bowtie(b1, b2))
 
 
 def test_is_scalar_action():
