@@ -11,19 +11,22 @@ DimensionMismatch.
 
 Exact decisions (ideal lattices, decomposability) are only offered over
 prime fields; over the rationals decomposability is reported as
-undecided. Ideal lattices test every subspace, within the enumeration
-cap. Decomposability first tries two certificates from the endomorphism
-ring E of Ker w, E the scalars or E commutative and local, which visit
-no subspace and need no cap, and only then a capped search for the first
-witness pair in enumeration order.
+undecided. Kernel-ideal lattices walk every subspace of Ker w, within
+the enumeration cap, in Ker w's own coordinates, testing each against
+the multiplication maps restricted to Ker w. Decomposability first tries
+two certificates from the endomorphism ring E of Ker w, E the scalars or
+E commutative and local, which visit no subspace and need no cap, and
+only then a capped search for the first witness pair in enumeration
+order.
 
 Images of basis vectors come from Algebra.times_basis and membership
 from linalg.raw_residue, both on raw values as a Subspace stores its rows.
-The module's own arithmetic is mod p: the spin-up in _commutant_basis
-spins a standard basis of V under the multiplication maps and solves for
-the images of its seeds, on linalg's sparse echelon rows, and the
-Frobenius test in _is_local_commutative takes p-th powers of its d x d
-matrices.
+The module's own arithmetic is mod p: kernel_ideals tests subspaces
+against the restricted maps as d x d matrices, the spin-up in
+_commutant_basis spins a standard basis of V under the same maps and
+solves for the images of its seeds, on linalg's sparse echelon rows, and
+the Frobenius test in _is_local_commutative takes p-th powers of its
+d x d matrices.
 """
 
 from __future__ import annotations
@@ -158,16 +161,60 @@ def project_ideal(bow: BaricAlgebra, ideal: Ideal) -> IdealProjection:
 
 
 def kernel_ideals(b: BaricAlgebra, cap: int | None = None) -> list[Subspace]:
-    """All two-sided ideals of the algebra contained in Ker w.
+    """All two-sided ideals of the algebra contained in Ker w, in enumeration order.
 
-    Tests every subspace of Ker w; the cap bounds their number (see
-    enumerate_subspaces).
+    Ker w is itself an ideal, so a subspace of it is one exactly when every
+    map L_j, R_j restricted to Ker w (_restricted_maps) keeps it. The walk
+    runs over the subspaces of F_p^d, d = dim Ker w, as RREF coefficient
+    matrices C in Ker w's coordinates, and keeps each C with C G inside the
+    row space of C for every G of a basis of the maps' span modulo the
+    identity: a subspace kept by some maps is kept by their span, and the
+    scalars keep every subspace. Each ideal is C @ B, B the rows of Ker w,
+    which is already canonical (see subspaces_of_dim). The cap bounds the
+    subspace_count(p, d) subspaces walked and is checked before any map is
+    built.
     """
-    return [
-        s
-        for s in enumerate_subspaces(b.kernel(), cap)
-        if is_two_sided_ideal(b.algebra, s)
-    ]
+    kernel = b.kernel()
+    check_subspace_cap(kernel, cap)
+    p, d = b.field.p, kernel.dim
+    # the identity, flattened to key r * d + c, leads at key 0 with entry 1
+    spanned = {0: {r * (d + 1): 1 for r in range(d)}}
+    maps = []  # each kept G as its rows, the nonzero (column, entry) pairs of each
+    for g in _restricted_maps(b.algebra, kernel):
+        rest = echelon_reduce(spanned, {r * d + c: x for r, row in enumerate(g) for c, x in enumerate(row)}, p)
+        if rest:
+            echelon_add(spanned, rest, p)
+            maps.append([[(c, x) for c, x in enumerate(row) if x] for row in g])
+    ideals = []
+    for s in enumerate_subspaces(Subspace.full(b.field, d), cap):
+        if _keeps(s, maps, p):
+            rows = tuple([tuple(row) for row in _times(s.rows, kernel.rows, p)])
+            ideals.append(Subspace(b.field, b.dim, rows, tuple([kernel.pivots[pc] for pc in s.pivots])))
+    return ideals
+
+
+def _keeps(s: Subspace, maps: list[list[list[tuple[int, int]]]], p: int) -> bool:
+    """Does the row space of s contain c G for every row c of s and every sparse G in maps?
+
+    s is in RREF, so v lies in its row space exactly when, at each non-pivot
+    column f, v[f] is the sum of v at each pivot times that row's entry at f.
+    """
+    pairs = list(zip(s.rows, s.pivots))
+    free = [f for f in range(s.ambient_dim) if f not in s.pivots]
+    for g in maps:
+        for row in s.rows:
+            v = [0] * len(row)
+            for x, g_row in zip(row, g):
+                if x:
+                    for c, y in g_row:
+                        v[c] += x * y
+            for f in free:
+                t = v[f]
+                for crow, pc in pairs:
+                    t -= v[pc] * crow[f]
+                if t % p:
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -195,7 +242,11 @@ class KernelIdealBijection:
 
 
 def kernel_ideal_bijection(bow: BaricAlgebra, cap: int | None = None) -> KernelIdealBijection:
-    """Verify the kernel-ideal pairing for commutative unital factors."""
+    """Verify the kernel-ideal pairing for commutative unital factors.
+
+    The cap is checked on the left, right and product kernels, in that
+    order, before any lattice is enumerated.
+    """
     left, right = factors(bow)
     for fac in (left, right):
         flags = property_flags(fac.algebra)
@@ -203,9 +254,11 @@ def kernel_ideal_bijection(bow: BaricAlgebra, cap: int | None = None) -> KernelI
             raise FactorsNotCommutativeUnital(
                 "the kernel ideal pairing needs commutative unital factors"
             )
+    kernel = bow.kernel()
+    for ambient in (left.kernel(), right.kernel(), kernel):
+        check_subspace_cap(ambient, cap)
     left_ideals = tuple(kernel_ideals(left, cap))
     right_ideals = tuple(kernel_ideals(right, cap))
-    kernel = bow.kernel()
     bowtie_ideals = tuple(s for s in kernel_ideals(bow, cap) if s != kernel)
 
     result = KernelIdealBijection(bow, left_ideals, right_ideals, bowtie_ideals, verified=False)
@@ -239,7 +292,7 @@ def _times(x: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
     """The matrix product x g mod p, skipping the zero entries of x."""
     out = []
     for row in x:
-        acc = [0] * len(g)
+        acc = [0] * len(g[0])
         for xm, g_row in zip(row, g):
             if xm:
                 for c, y in enumerate(g_row):
@@ -248,14 +301,30 @@ def _times(x: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
+def _restricted_maps(a: Algebra, v: Subspace) -> list[list[list[int]]]:
+    """The maps R_j(x) = x * e_j and L_j(x) = e_j * x on a two-sided ideal V of `a`
+    over a prime field, for j = 0, 1, ... in turn.
+
+    Each is a d x d matrix mod p in V's RREF coordinates: row m is the image
+    of V's row m, read at V.pivots (a vector of V is the sum of its entries
+    at V.pivots times the matching rows).
+    """
+    p = a.field.p
+    maps = []
+    for j in range(a.dim):
+        for left in (False, True):
+            images = [a.times_basis(row, j, left) for row in v.rows]
+            maps.append([[image[pc] % p for pc in v.pivots] for image in images])
+    return maps
+
+
 def _commutant_basis(a: Algebra, v: Subspace) -> list[list[list[int]]]:
     """A basis of E = End_M(V), V a two-sided ideal of `a` over a prime field.
 
     M is generated by the maps L_j(x) = e_j * x and R_j(x) = x * e_j
-    restricted to V, each read as a d x d matrix G in V's RREF coordinates
-    (a vector of V is the sum of its entries at V.pivots times the matching
-    rows); E is {X : XG = GX for every G}, and each basis element is a d x d
-    matrix X mod p.
+    restricted to V, each a d x d matrix G in V's RREF coordinates
+    (_restricted_maps); E is {X : XG = GX for every G}, and each basis
+    element is a d x d matrix X mod p.
 
     Standard-basis spin-up (Schneider, JSC 1990): the unit vectors u_i of V
     are spun in order, skipping those already in the span, until the spins
@@ -271,11 +340,7 @@ def _commutant_basis(a: Algebra, v: Subspace) -> list[list[list[int]]]:
     """
     p, d = a.field.p, v.dim
     identity = [[int(r == c) for c in range(d)] for r in range(d)]
-    gens = []
-    for j in range(a.dim):
-        for left in (False, True):
-            images = [a.times_basis(row, j, left) for row in v.rows]
-            gens.append([[image[pc] % p for pc in v.pivots] for image in images])
+    gens = _restricted_maps(a, v)
     # a spin row (r | c) keeps V coordinates under keys 0..d-1 and c_m under
     # key d + m, with r = -sum c_m b_m; reducing b_k G to (0 | c) gives a = c
     spun: dict[int, dict[int, int]] = {}

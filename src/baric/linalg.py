@@ -489,11 +489,14 @@ def subspaces_of_dim(ambient: Subspace, k: int) -> Iterator[Subspace]:
 
     Walks pivot-column patterns of k-row reduced-echelon coefficient
     matrices C, in lexicographic order, and fills the free positions with
-    all residues, so the output needs no deduplication. Each subspace is
-    C @ B for the ambient's basis B; the product of two reduced-echelon
-    matrices is reduced-echelon (B's pivot columns are unit vectors, so
-    they copy C's), hence already canonical, and its pivot columns are B's
-    at C's pivots. The arithmetic runs on the raw rows of the ambient.
+    all residues, row-major, so the output needs no deduplication. Each
+    subspace is C @ B for the ambient's basis B; the product of two
+    reduced-echelon matrices is reduced-echelon (B's pivot columns are unit
+    vectors, so they copy C's), hence already canonical, and its pivot
+    columns are B's at C's pivots. Row r of C @ B depends only on row r's
+    own free entries, so per pivot pattern each row's p^(free entries)
+    canonical tuples are built once, in fill order, from the raw rows of
+    the ambient, and each subspace is one tuple of their product.
     Requires a finite field; there is no cap here, so callers check one
     first (check_subspace_cap).
     """
@@ -502,22 +505,17 @@ def subspaces_of_dim(ambient: Subspace, k: int) -> Iterator[Subspace]:
     d = ambient.dim
     n = ambient.ambient_dim
     dense = ambient.rows
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
     for pivots in combinations(range(d), k):
         pivot_set = set(pivots)
         row_pivots = tuple([ambient.pivots[pc] for pc in pivots])
-        free_pos = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, d)
-            if c not in pivot_set
-        ]
-        for fill in product(range(p), repeat=len(free_pos)):
-            # row r of C @ B is B[pivots[r]] plus val * B[c] over its free (r, c)
-            rows = [list(dense[pc]) for pc in pivots]
-            for (r, c), val in zip(free_pos, fill):
-                if val:
-                    row = rows[r]
-                    for j, bj in sparse[c]:
-                        row[j] += val * bj
-            yield Subspace(field, n, tuple([tuple([x % p for x in row]) for row in rows]), row_pivots)
+        choices = []
+        for pc in pivots:
+            # B[pc] plus val * B[c] over the free c after pc, the first c varying slowest
+            rows = [dense[pc]]
+            for c in range(pc + 1, d):
+                if c not in pivot_set:
+                    b = dense[c]
+                    rows = [tuple([(x + val * y) % p for x, y in zip(row, b)]) for row in rows for val in range(p)]
+            choices.append(rows)
+        for rows in product(*choices):
+            yield Subspace(field, n, rows, row_pivots)

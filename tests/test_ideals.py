@@ -11,6 +11,7 @@ from baric import (
     BaricAlgebra,
     DecompOutcome,
     DimensionMismatch,
+    EnumerationTooLarge,
     FactorsNotCommutativeUnital,
     FieldMismatch,
     FieldSpec,
@@ -34,6 +35,7 @@ from baric import (
     sidedness,
     span_of,
 )
+from baric import ideals
 from baric.catalog import componentwise, dual_numbers, scalar_action, truncated_polynomials
 from baric.ideals import KernelIdealBijection, _commutant_basis, _is_local_commutative
 
@@ -256,6 +258,40 @@ def test_kernel_ideals_of_field_square():
         square = kpow(field, 2)
         inside = kernel_ideals(square)
         assert set(inside) == {Subspace.zero_space(field, 2), square.kernel()}
+
+
+def test_kernel_ideals_are_the_ideals_among_every_kernel_subspace_in_order():
+    # the walk in Ker w coordinates against sidedness tests of every subspace of Ker w
+    cases = []
+    for field, dims in ((F2, range(1, 7)), (F3, range(1, 5)), (F5, range(1, 4))):
+        for n, commutative, unital, seed in product(dims, (False, True), (False, True), range(3)):
+            cases.append(random_baric(field, n, commutative=commutative, unital=unital, seed=seed))
+        for n in dims:
+            cases += [kpow(field, n), truncated_polynomials(field, n), componentwise(field, n)]
+        cu = [random_baric(field, 2, commutative=True, unital=True, seed=seed) for seed in (1, 2)]
+        cases += [
+            dual_numbers(field),
+            bowtie(*cu),
+            bowtie(random_baric(field, 2, seed=3), random_baric(field, 2, seed=4)),
+            bowtie(dual_numbers(field), truncated_polynomials(field, 3)),
+        ]
+    for b in cases:
+        expected = [s for s in enumerate_subspaces(b.kernel()) if is_two_sided_ideal(b.algebra, s)]
+        assert [(s.rows, s.pivots) for s in kernel_ideals(b)] == [(s.rows, s.pivots) for s in expected]
+
+
+def test_kernel_ideal_bijection_refuses_a_product_kernel_past_the_cap_before_any_walk(monkeypatch):
+    # the factor kernels, F_2^7 and F_2^6, are within the cap; the product's F_2^14 is not
+    cu = {"commutative": True, "unital": True}
+    bow = bowtie(random_baric(F2, 8, seed=3, **cu), random_baric(F2, 7, seed=4, **cu))
+    walked = []
+    walk = ideals.enumerate_subspaces
+    monkeypatch.setattr(ideals, "enumerate_subspaces", lambda ambient, cap=None: walked.append(ambient) or walk(ambient, cap))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match=r"^F_2\^14 has more subspaces"):
+        kernel_ideal_bijection(bow)
+    assert walked == []
+    assert time.perf_counter() - start < 0.2
 
 
 def test_decomposability_examples():

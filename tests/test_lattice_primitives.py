@@ -301,13 +301,23 @@ def test_cap_boundary_is_the_exact_subspace_count():
         check_subspace_cap(full, cap - 1)
 
 
+def record_restricted_maps(monkeypatch):
+    """Record each ideal whose restricted maps are built, the first work of kernel_ideals' walk."""
+    built = []
+    restricted_maps = ideals._restricted_maps
+    monkeypatch.setattr(ideals, "_restricted_maps", lambda a, v: built.append(v) or restricted_maps(a, v))
+    return built
+
+
 def test_dim12_kernel_lattice_is_refused_at_once(monkeypatch, tmp_path, capsys):
     b = kpow(F2, 12)  # Ker w has 8.9e9 subspaces; 2^11 is within the cap
     visited = []
     monkeypatch.setattr(ideals, "is_two_sided_ideal", lambda a, s: visited.append(s))
+    restricted = record_restricted_maps(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(EnumerationTooLarge):
         kernel_ideals(b)
+    assert restricted == []
     path = tmp_path / "kpow12.json"
     io.save(b, path)
     assert main(["decompose", str(path)]) == 1
@@ -321,8 +331,10 @@ def test_dim10_indecomposable_kernel_is_certified_past_the_cap(monkeypatch, tmp_
     # ring is the scalars, so no subspace is needed for the verdict
     b = random_baric(F2, 10, commutative=True, unital=True, seed=1)
     assert len(ideals._commutant_basis(b.algebra, b.kernel())) == 1
+    restricted = record_restricted_maps(monkeypatch)
     with pytest.raises(EnumerationTooLarge):
         kernel_ideals(b)
+    assert restricted == []
     visited = []
     monkeypatch.setattr(ideals, "is_two_sided_ideal", lambda a, s: visited.append(s))
     path = tmp_path / "random10.json"
@@ -337,8 +349,10 @@ def test_truncated_chain_is_certified_past_the_cap(monkeypatch, tmp_path, capsys
     # K[x]/(x^n) has a chain of kernel ideals, but Ker w has more subspaces
     # than the 2^20 cap; its endomorphism ring K[N]/(N^(n-1)) is local
     b = truncated_polynomials(field, n)
+    restricted = record_restricted_maps(monkeypatch)
     with pytest.raises(EnumerationTooLarge):
         kernel_ideals(b)
+    assert restricted == []
     visited = []
     monkeypatch.setattr(ideals, "is_two_sided_ideal", lambda a, s: visited.append(s))
     path = tmp_path / f"trunc{field.p}_{n}.json"
