@@ -15,21 +15,22 @@ FieldSpec.element and checks their indices; Algebra._raw, beside
 Element._raw, Matrix._raw and FieldElement._raw, takes the canonical
 nonzero constants the library computes (change_basis, bowtie, factor,
 random_baric, scalar_action) and only groups them by pair. Over Q the
-product kernels (times and the basis associators) clear denominators once
-and compute on Python ints, building one Fraction per nonzero value they
-return.
+product kernels (times, the basis associators and, through linalg._times,
+change_basis) clear denominators once and compute on Python ints, building
+one Fraction per nonzero value they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularTransform
 from .fields import FieldElement, FieldSpec
-from .linalg import Matrix, Subspace, _cleared, _rational_sums, kernel_basis, solve, span
+from .linalg import Matrix, Subspace, _cleared, _times, kernel_basis, solve, span
 
 
 def check_dim(dim) -> None:
@@ -101,15 +102,21 @@ class Algebra:
     # (or ints) over Q. FieldSpec.wrap turns their output into elements.
 
     def times(self, x: Sequence, y: Sequence) -> list:
-        """Raw coordinates of x * y, from raw coordinates x and y; over Q the sums
-        run on cleared ints, one Fraction per nonzero coordinate (linalg._rational_sums)."""
+        """Raw coordinates of x * y, from raw coordinates x and y; over Q x, y and the
+        constants met are cleared (_cleared), and each nonzero sum is one Fraction."""
         by_pair = self._by_pair
         if self.field.p is None:
             dx, x = _cleared(x)
             dy, y = _cleared(y)
             terms = [(xi * yj, entries) for i, xi in enumerate(x) if xi
                      for j, yj in enumerate(y) if yj and (entries := by_pair.get((i, j)))]
-            return _rational_sums(terms, self.dim, dx * dy)
+            dc = lcm(*[c.denominator for _, row in terms for _, c in row])
+            out = [0] * self.dim
+            for s, row in terms:
+                for k, c in row:
+                    out[k] += s * (c.numerator * (dc // c.denominator))
+            d = dx * dy * dc
+            return [Fraction(v, d) if v else 0 for v in out]
         out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
@@ -438,10 +445,9 @@ def commutative_center(a: Algebra) -> Subspace:
 def change_basis(a: Algebra, t: Matrix) -> Algebra:
     """Structure constants of the same product in the basis e'_i = sum_j T[i][j] e_j.
 
-    Each product e'_i e'_j (product_coords) is mapped back through T^-1,
-    which is cleared once per call: one lcm d of its denominators over Q,
-    and the nonzero entries of each row. So the n^2 products are applied on
-    ints, with one Fraction per nonzero constant.
+    The n^2 products e'_i e'_j (product_coords) are mapped back through
+    T^-1 in one linalg._times call, which clears T^-1 once over Q, skips
+    its zero entries and builds one Fraction per nonzero constant.
     """
     if t.nrows != a.dim or t.ncols != a.dim:
         raise DimensionMismatch(f"basis change must be {a.dim}x{a.dim}")
@@ -451,30 +457,8 @@ def change_basis(a: Algebra, t: Matrix) -> Algebra:
         tinv = t.inverse()
     except SingularTransform:
         raise SingularTransform("basis change matrix is singular") from None
-    n, p = a.dim, a.field.p
-    inv = tinv.values
-    if p is None:
-        d, flat = _cleared([x for row in inv for x in row])
-        inv = [flat[r * n : (r + 1) * n] for r in range(n)]
-    inv = [[(k, x) for k, x in enumerate(row) if x] for row in inv]
-    rows = t.rows
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            prod = [c.value for c in a.product_coords(rows[i], rows[j])]
-            if p is None:
-                dp, prod = _cleared(prod)
-                scale = d * dp
-            out = [0] * n
-            for s, row in zip(prod, inv):
-                if s:
-                    for k, x in row:
-                        out[k] += s * x
-            for k, v in enumerate(out):
-                if p:
-                    v %= p
-                elif v:
-                    v = Fraction(v, scale)
-                if v:
-                    table[(i, j, k)] = v
+    n, rows = a.dim, t.rows
+    products = [[c.value for c in a.product_coords(x, y)] for x in rows for y in rows]
+    images = chain.from_iterable(_times(a.field.p, products, tinv.values, n))
+    table = {key: v for key, v in zip(product(range(n), repeat=3), images) if v}
     return Algebra._raw(a.field, n, table)

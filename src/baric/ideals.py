@@ -19,14 +19,14 @@ E commutative and local, which visit no subspace and need no cap, and
 only then a capped search for the first witness pair in enumeration
 order.
 
-Images of basis vectors come from Algebra.times_basis and membership
-from linalg.raw_residue, both on raw values as a Subspace stores its rows.
-The module's own arithmetic is mod p: kernel_ideals tests subspaces
-against the restricted maps as d x d matrices, the spin-up in
-_commutant_basis spins a standard basis of V under the same maps and
-solves for the images of its seeds, on linalg's sparse echelon rows, and
-the Frobenius test in _is_local_commutative takes p-th powers of its
-d x d matrices.
+Images of basis vectors come from Algebra.times_basis, on raw values as
+a Subspace stores its rows, and matrix products mod p from
+linalg._times. kernel_ideals tests each candidate against the restricted
+maps as d x d matrices at its free columns (_keeps, whose own c G stops
+at the first failing column), the spin-up in _commutant_basis spins a
+standard basis of V under the same maps and solves for the images of its
+seeds, on linalg's sparse echelon rows, and the Frobenius test in
+_is_local_commutative takes p-th powers of its d x d matrices.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .errors import DimensionMismatch, FactorsNotCommutativeUnital
 from .linalg import (
     Subspace,
     _raw_span,
+    _times,
     check_subspace_cap,
     echelon_add,
     echelon_reduce,
@@ -188,7 +189,7 @@ def kernel_ideals(b: BaricAlgebra, cap: int | None = None) -> list[Subspace]:
     ideals = []
     for s in enumerate_subspaces(Subspace.full(b.field, d), cap):
         if _keeps(s, maps, p):
-            rows = tuple([tuple(row) for row in _times(s.rows, kernel.rows, p)])
+            rows = tuple([tuple(row) for row in _times(p, s.rows, kernel.rows, b.dim)])
             ideals.append(Subspace(b.field, b.dim, rows, tuple([kernel.pivots[pc] for pc in s.pivots])))
     return ideals
 
@@ -288,19 +289,6 @@ class Decomposability:
     n2: Subspace | None = None
 
 
-def _times(x: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
-    """The matrix product x g mod p, skipping the zero entries of x."""
-    out = []
-    for row in x:
-        acc = [0] * len(g[0])
-        for xm, g_row in zip(row, g):
-            if xm:
-                for c, y in enumerate(g_row):
-                    acc[c] += xm * y
-        out.append([y % p for y in acc])
-    return out
-
-
 def _restricted_maps(a: Algebra, v: Subspace) -> list[list[list[int]]]:
     """The maps R_j(x) = x * e_j and L_j(x) = e_j * x on a two-sided ideal V of `a`
     over a prime field, for j = 0, 1, ... in turn.
@@ -369,12 +357,12 @@ def _commutant_basis(a: Algebra, v: Subspace) -> list[list[list[int]]]:
                 saturated = len(equations) == len(units) * d - 1
                 if saturated and len(words) == d:
                     return [identity]
-                (bg,) = _times([word[units[t]]], g, p)  # b_k G
+                (bg,) = _times(p, [word[units[t]]], g, d)  # b_k G
                 rest = echelon_reduce(spun, dict(enumerate(bg)), p)
                 is_new = bool(rest) and min(rest) < d
                 if saturated and not is_new:
                     continue
-                wg = _times(word, g, p)
+                wg = _times(p, word, g, d)
                 if is_new:
                     grow(rest, wg, t)
                     continue
@@ -400,18 +388,18 @@ def _commutant_basis(a: Algebra, v: Subspace) -> list[list[list[int]]]:
         y[free] = 1
         for lead in leads:  # the other keys of a row lie above its lead, and y[lead] is still 0
             y[lead] = -sum(x * y[u] for u, x in equations[lead].items()) % p
-        rows = [_times([y[t * d:t * d + d]], word, p)[0] for word, t in zip(words, seed_of)]
-        basis.append(_times(inverse, rows, p))
+        rows = [_times(p, [y[t * d:t * d + d]], word, d)[0] for word, t in zip(words, seed_of)]
+        basis.append(_times(p, inverse, rows, d))
     return basis
 
 
 def _power(x: list[list[int]], n: int, p: int) -> list[list[int]]:
     """x^n mod p for n >= 1, squaring for each binary digit of n after the first."""
-    result = x
+    result, d = x, len(x)
     for digit in bin(n)[3:]:
-        result = _times(result, result, p)
+        result = _times(p, result, result, d)
         if digit == "1":
-            result = _times(result, x, p)
+            result = _times(p, result, x, d)
     return result
 
 
@@ -423,7 +411,7 @@ def _is_local_commutative(basis: list[list[list[int]]], p: int) -> bool:
     So E is local when the images X^p - X of the basis have rank dim E - 1;
     the scalars, with X^p = X, are. No basis spans no ring, and gives False.
     """
-    if any(_times(x, y, p) != _times(y, x, p) for i, x in enumerate(basis) for y in basis[i + 1:]):
+    if any(_times(p, x, y, len(x)) != _times(p, y, x, len(x)) for i, x in enumerate(basis) for y in basis[i + 1:]):
         return False
     images: dict[int, dict[int, int]] = {}
     for x in basis:

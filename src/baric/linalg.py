@@ -6,9 +6,9 @@ solve, row_times_matrix, Subspace.contains_vector) checks them through
 FieldSpec.unwrap, the one door to raw values; every kernel computes on
 raw values (residues in [0, p) over F_p, Fractions over Q), Matrix._raw
 builds the matrices they compute, and FieldSpec.wrap turns results back
-into FieldElements. One Gauss-Jordan sweep (_rref) eliminates over both
-fields; it and row_times_matrix clear Q denominators once (_cleared), run
-on Python ints and build one Fraction per nonzero entry of the result.
+into FieldElements. One Gauss-Jordan sweep (_rref) and one matrix product
+(_times) serve both fields; over Q both clear denominators once (_cleared),
+run on Python ints and build one Fraction per nonzero entry of the result.
 Subspaces are stored by their reduced row-echelon rows as raw values, with
 zero rows removed, and the pivot column of each row. That is a canonical
 form: two subspaces are equal exactly when their stored rows are
@@ -159,20 +159,8 @@ class Matrix:
 
 
 def row_times_matrix(v: Sequence[FieldElement], m: Matrix) -> Row:
-    """v @ m for a coordinate row vector v; over Q on cleared ints (see _rational_sums)."""
-    field = m.field
-    v = field.unwrap(v, m.nrows)
-    if field.p is None:
-        dv, v = _cleared(v)
-        rows = [(vi, [(j, rj) for j, rj in enumerate(r) if rj]) for vi, r in zip(v, m.values) if vi]
-        return field.wrap(_rational_sums(rows, m.ncols, dv))
-    out = [0] * m.ncols
-    for vi, r in zip(v, m.values):
-        if vi:
-            for j, rj in enumerate(r):
-                if rj:
-                    out[j] += vi * rj
-    return field.wrap(out)
+    """v @ m for a coordinate row vector v (see _times)."""
+    return m.field.wrap(_times(m.field.p, [m.field.unwrap(v, m.nrows)], m.values, m.ncols)[0])
 
 
 def _cleared(values: Sequence) -> tuple[int, list[int]]:
@@ -182,17 +170,34 @@ def _cleared(values: Sequence) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
-def _rational_sums(terms: Sequence, n: int, d: int) -> list:
-    """The n raw Q sums of s * c at k over each (int s, ((k, Q value c), ...)) in
-    terms, divided by d. The denominators of the c are cleared with one lcm dc,
-    the sums run on ints, and each nonzero sum v becomes Fraction(v, d * dc)."""
-    dc = lcm(*[c.denominator for _, row in terms for _, c in row])
-    out = [0] * n
-    for s, row in terms:
-        for k, c in row:
-            out[k] += s * (c.numerator * (dc // c.denominator))
-    d *= dc
-    return [Fraction(v, d) if v else 0 for v in out]
+def _times(p: int | None, x: Sequence[Sequence], g: Sequence[Sequence], ncols: int) -> list[list]:
+    """The raw rows of x @ g, g being raw rows of ncols columns, over F_p or (p None) Q.
+
+    It skips the zero entries of x, and reads a row of g as its nonzero
+    entries when a nonzero entry of x first meets it. Over F_p the rows are
+    reduced mod p; over Q, g is cleared once and each row of x once
+    (_cleared), the sums run on ints, and each nonzero entry is one Fraction.
+    """
+    if p is None:
+        dg, flat = _cleared([y for row in g for y in row])
+        g = [flat[r * ncols : (r + 1) * ncols] for r in range(len(g))]
+        zero = Fraction(0)
+    sparse = [None] * len(g)
+    out = []
+    for row in x:
+        if p is None:
+            d, row = _cleared(row)
+            d *= dg
+        acc = [0] * ncols
+        for m, xm in enumerate(row):
+            if xm:
+                g_row = sparse[m]
+                if g_row is None:
+                    g_row = sparse[m] = [(c, y) for c, y in enumerate(g[m]) if y]
+                for c, y in g_row:
+                    acc[c] += xm * y
+        out.append([v % p for v in acc] if p else [Fraction(v, d) if v else zero for v in acc])
+    return out
 
 
 def _rref(field: FieldSpec, rows: Iterable[Sequence], ncols: int):

@@ -27,7 +27,7 @@ from baric import (
     span,
     span_of,
 )
-from baric.linalg import row_times_matrix, subspace_count
+from baric.linalg import _times, row_times_matrix, subspace_count
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -449,45 +449,60 @@ def test_rational_inverse_of_a_24x24_matrix_is_fast():
 
 
 def _fraction_row_times_matrix(v, m):
-    """v @ m term by term in Fraction arithmetic: the reference for row_times_matrix over Q."""
+    """v @ m term by term in Fraction arithmetic, reduced mod p over F_p: the
+    reference for row_times_matrix and linalg._times."""
     out = [Fraction(0)] * m.ncols
     for vi, r in zip(v, m.values):
         for j, rj in enumerate(r):
             out[j] += Fraction(vi) * rj
-    return out
+    return out if m.field.p is None else [int(x) % m.field.p for x in out]
 
 
 def test_rational_row_times_matrix_matches_the_fraction_loop():
     rng = random.Random(26)
 
-    def entry():  # mixed denominators, one above 10^30, and zeros half of the time
+    def entry(p):  # zeros half of the time; over Q mixed denominators, one above 10^30
         if rng.random() < 0.5:
             return 0
-        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 9, 10**31 + 9]))
+        if p is None:
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 9, 10**31 + 9]))
+        return rng.randrange(1, p)
 
-    for _ in range(300):
+    for field, _ in product(ORACLE_FIELDS, range(300)):
+        p = field.p
         nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
-        m = Matrix._raw(Q, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols)
+        m = Matrix._raw(field, [[entry(p) for _ in range(ncols)] for _ in range(nrows)], ncols)
         u = rng.randrange(max(nrows, 1))
-        for v in ([entry() for _ in range(nrows)], [0] * nrows, [int(i == u) for i in range(nrows)]):
-            got = row_times_matrix(Q.wrap(v), m)
-            assert [x.value for x in got] == _fraction_row_times_matrix(v, m)
-            assert all(type(x.value) is Fraction for x in got)
+        # a multi-row x with an all-zero row; nrows = 0 is the zero space of Subspace.intersect
+        x = [[entry(p) for _ in range(nrows)], [0] * nrows, [int(i == u) for i in range(nrows)]]
+        expected = [_fraction_row_times_matrix(v, m) for v in x]
+        got = _times(p, x, m.values, ncols)
+        assert got == expected and _canonical(field, got)
+        got = [[e.value for e in row_times_matrix(field.wrap(v), m)] for v in x]
+        assert got == expected and _canonical(field, got)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_rational_change_basis_matches_sympy(n, seed):
-    # c'[i,j,:] = (sum over a, b of T[i][a] T[j][b] c[a,b,:]) T^-1, in sympy's QQ
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_rational_change_basis_matches_sympy(field, n, seed, permutation):
+    # c'[i,j,:] = (sum over a, b of T[i][a] T[j][b] c[a,b,:]) T^-1, in sympy's QQ or GF(p);
+    # a permutation T is a swap map of P3.1, whose T^-1 is as sparse as T
     rng = random.Random(seed)
 
     def entry():
-        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 8, 10**31 + 9]))
+        if field.p is None:
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 8, 10**31 + 9]))
+        return rng.randrange(field.p)
 
     density = rng.choice([0.2, 0.6, 1.0])
-    a = Algebra(Q, n, {key: entry() for key in product(range(n), repeat=3) if rng.random() < density})
-    t = Matrix._raw(Q, [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)], n)
-    oracle_t = _to_oracle(Q, t.rows, n)
+    a = Algebra(field, n, {key: entry() for key in product(range(n), repeat=3) if rng.random() < density})
+    if permutation:
+        perm = rng.sample(range(n), n)
+        t = Matrix._raw(field, [[field.one.value if c == perm[r] else 0 for c in range(n)] for r in range(n)], n)
+    else:
+        t = Matrix._raw(field, [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)], n)
+    K = _domain(field)
+    oracle_t = _to_oracle(field, t.rows, n)
     try:
         oracle_inverse = oracle_t.inv()
     except DMNonInvertibleMatrixError:
@@ -495,12 +510,12 @@ def test_rational_change_basis_matches_sympy(n, seed):
             change_basis(a, t)
         return
     rows = oracle_t.to_list()
-    constants = [(key, QQ.convert(c)) for key, c in a.entries()]
+    constants = [(key, K.convert(c)) for key, c in a.entries()]
     expected = {}
     for i, j in product(range(n), repeat=2):
-        product_ij = [QQ.zero] * n
-        for (p, q, k), c in constants:
-            product_ij[k] += rows[i][p] * rows[j][q] * c
-        new = (DomainMatrix([product_ij], (1, n), QQ) * oracle_inverse).to_list()[0]
-        expected.update({(i, j, k): x for k, x in enumerate(_from_oracle(Q, [new])[0]) if x})
+        product_ij = [K.zero] * n
+        for (u, v, k), c in constants:
+            product_ij[k] += rows[i][u] * rows[j][v] * c
+        new = (DomainMatrix([product_ij], (1, n), K) * oracle_inverse).to_list()[0]
+        expected.update({(i, j, k): x for k, x in enumerate(_from_oracle(field, [new])[0]) if x})
     assert dict(change_basis(a, t).entries()) == expected
