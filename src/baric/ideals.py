@@ -20,13 +20,13 @@ only then a capped search for the first witness pair in enumeration
 order.
 
 Images of basis vectors come from Algebra.times_basis, on raw values as
-a Subspace stores its rows, and matrix products mod p from
-linalg._times. kernel_ideals tests each candidate against the restricted
-maps as d x d matrices at its free columns (_keeps, whose own c G stops
-at the first failing column), the spin-up in _commutant_basis spins a
-standard basis of V under the same maps and solves for the images of its
-seeds, on linalg's sparse echelon rows, and the Frobenius test in
-_is_local_commutative takes p-th powers of its d x d matrices.
+a Subspace stores its rows, matrix products mod p from linalg._times,
+and _closed and _keeps test images with linalg.membership. kernel_ideals
+tests each candidate against the restricted maps as d x d matrices
+(_keeps), the spin-up in _commutant_basis spins a standard basis of V
+under the same maps and solves for the images of its seeds, on linalg's
+sparse echelon rows, and the Frobenius test in _is_local_commutative
+takes p-th powers of its d x d matrices.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .linalg import (
     echelon_add,
     echelon_reduce,
     enumerate_subspaces,
-    raw_residue,
+    membership,
     span,
     subspaces_of_dim,
 )
@@ -67,15 +67,9 @@ class Ideal:
 
 
 def _closed(a: Algebra, s: Subspace, left: bool) -> bool:
-    """Is s closed under e_j * v (left) or v * e_j for every basis vector e_j?
-
-    Each image of a basis row of s must reduce to zero against those rows.
-    """
-    for v in s.rows:
-        for j in range(a.dim):
-            if any(raw_residue(s, a.times_basis(v, j, left))):
-                return False
-    return True
+    """Does linalg.membership(s) pass e_j * v (left) or v * e_j for every row v of s and basis vector e_j?"""
+    inside = membership(s)
+    return all(inside(a.times_basis(v, j, left)) for v in s.rows for j in range(a.dim))
 
 
 def sidedness(a: Algebra, s: Subspace) -> Sided:
@@ -188,20 +182,15 @@ def kernel_ideals(b: BaricAlgebra, cap: int | None = None) -> list[Subspace]:
             maps.append([[(c, x) for c, x in enumerate(row) if x] for row in g])
     ideals = []
     for s in enumerate_subspaces(Subspace.full(b.field, d), cap):
-        if _keeps(s, maps, p):
+        if _keeps(s, maps):
             rows = tuple([tuple(row) for row in _times(p, s.rows, kernel.rows, b.dim)])
             ideals.append(Subspace(b.field, b.dim, rows, tuple([kernel.pivots[pc] for pc in s.pivots])))
     return ideals
 
 
-def _keeps(s: Subspace, maps: list[list[list[tuple[int, int]]]], p: int) -> bool:
-    """Does the row space of s contain c G for every row c of s and every sparse G in maps?
-
-    s is in RREF, so v lies in its row space exactly when, at each non-pivot
-    column f, v[f] is the sum of v at each pivot times that row's entry at f.
-    """
-    pairs = list(zip(s.rows, s.pivots))
-    free = [f for f in range(s.ambient_dim) if f not in s.pivots]
+def _keeps(s: Subspace, maps: list[list[list[tuple[int, int]]]]) -> bool:
+    """Does linalg.membership(s) pass c G for every row c of s and every sparse G in maps?"""
+    inside = membership(s)
     for g in maps:
         for row in s.rows:
             v = [0] * len(row)
@@ -209,12 +198,8 @@ def _keeps(s: Subspace, maps: list[list[list[tuple[int, int]]]], p: int) -> bool
                 if x:
                     for c, y in g_row:
                         v[c] += x * y
-            for f in free:
-                t = v[f]
-                for crow, pc in pairs:
-                    t -= v[pc] * crow[f]
-                if t % p:
-                    return False
+            if not inside(v):
+                return False
     return True
 
 

@@ -9,6 +9,8 @@ builds the matrices they compute, and FieldSpec.wrap turns results back
 into FieldElements. One Gauss-Jordan sweep (_rref) and one matrix product
 (_times) serve both fields; over Q both clear denominators once (_cleared),
 run on Python ints and build one Fraction per nonzero entry of the result.
+Beside them, one membership test (membership) says whether a raw vector
+lies in a Subspace.
 Subspaces are stored by their reduced row-echelon rows as raw values, with
 zero rows removed, and the pivot column of each row. That is a canonical
 form: two subspaces are equal exactly when their stored rows are
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -337,11 +339,11 @@ class Subspace:
         return cls(field, n, Matrix.identity(field, n).values, tuple(range(n)))
 
     def contains_vector(self, v: Sequence[FieldElement]) -> bool:
-        return not any(raw_residue(self, self.field.unwrap(v, self.ambient_dim)))
+        return membership(self)(self.field.unwrap(v, self.ambient_dim))
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return not any(any(raw_residue(self, r)) for r in other.rows)
+        return all(map(membership(self), other.rows))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -382,20 +384,28 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim}: {rows})"
 
 
-def raw_residue(s: Subspace, v: Sequence) -> list:
-    """Raw vector v reduced against the rows of s at their pivot columns.
+def membership(s: Subspace) -> Callable[[Sequence], bool]:
+    """The test "raw vector v lies in s", built once from the RREF rows of s.
 
-    v lies in s exactly when the residue is zero. Over F_p the residue is
-    returned reduced mod p.
+    v lies in s exactly when, at each non-pivot column f, v[f] is the sum
+    of v at each pivot times that row's entry at f. Over F_p the difference
+    is reduced mod p, so v may hold unreduced ints; over Q it is compared
+    exactly. The test stops at the first column that fails.
     """
     p = s.field.p
-    for row, pc in zip(s.rows, s.pivots):
-        coeff = v[pc]
-        if coeff:
-            v = [x - coeff * y for x, y in zip(v, row)]
-    if p is not None:
-        v = [x % p for x in v]
-    return v
+    pairs = list(zip(s.rows, s.pivots))
+    free = [f for f in range(s.ambient_dim) if f not in s.pivots]
+
+    def inside(v: Sequence) -> bool:
+        for f in free:
+            t = v[f]
+            for row, pc in pairs:
+                t -= v[pc] * row[f]
+            if t % p if p else t:
+                return False
+        return True
+
+    return inside
 
 
 def echelon_reduce(echelon: dict[int, dict[int, int]], vec: dict[int, int], p: int) -> dict[int, int]:

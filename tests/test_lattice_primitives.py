@@ -165,8 +165,8 @@ def test_enumeration_of_full_space_matches_reference(field):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([Q, F2, F3, F5]),
-    st.integers(1, 4),
+    st.sampled_from([Q, F2, F3, F5, F4099]),
+    st.integers(1, 5),
     st.booleans(),
     st.integers(0, 10_000),
 )

@@ -27,7 +27,7 @@ from baric import (
     span,
     span_of,
 )
-from baric.linalg import _times, row_times_matrix, subspace_count
+from baric.linalg import _times, membership, row_times_matrix, subspace_count
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -480,6 +480,48 @@ def test_rational_row_times_matrix_matches_the_fraction_loop():
         assert got == expected and _canonical(field, got)
         got = [[e.value for e in row_times_matrix(field.wrap(v), m)] for v in x]
         assert got == expected and _canonical(field, got)
+
+
+def test_membership_matches_the_span_dimension_oracle():
+    # v lies in s exactly when s's rows plus v span a space of dim s
+    rng = random.Random(34)
+
+    def scalar(p):  # over Q mixed denominators, one above 10^30
+        if p is None:
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10**31 + 9]))
+        return rng.randrange(p)
+
+    for field, _ in product(ORACLE_FIELDS, range(200)):
+        p, n = field.p, rng.randint(0, 6)
+        kind = rng.choice(["zero", "full", "span", "span", "span"])
+        if kind == "zero":
+            s = Subspace.zero_space(field, n)
+        elif kind == "full":
+            s = Subspace.full(field, n)
+        else:
+            s = span(field, n, [field.wrap([scalar(p) for _ in range(n)]) for _ in range(rng.randint(1, 3))])
+        free = [f for f in range(n) if f not in s.pivots]
+        vectors = []
+        for _ in range(4):
+            v = [0] * n
+            for row in s.rows:
+                c = scalar(p)
+                v = [x + c * y for x, y in zip(v, row)]
+            vectors.append(v)
+            # off s by a nonzero step at the last free column and at a random one
+            for f in free[-1:] + rng.sample(free, min(len(free), 1)):
+                off = list(v)
+                off[f] += rng.randrange(1, p) if p else Fraction(rng.choice([1, -3]), rng.choice([1, 10**31 + 9]))
+                vectors.append(off)
+        inside = membership(s)
+        for v in vectors:
+            expected = span(field, n, list(s.basis) + [field.wrap(v)]).dim == s.dim
+            assert inside(v) == expected
+            if p:  # unreduced, as the sums of c G in ideals._keeps reach it
+                assert inside([x + p * rng.randint(-3, 3) for x in v]) == expected
+            assert s.contains_vector(field.wrap(v)) == expected
+        t = span(field, n, [field.wrap(v) for v in rng.sample(vectors, rng.randint(0, 3))])
+        assert s.contains(t) == (span(field, n, list(s.basis) + list(t.basis)).dim == s.dim)
 
 
 @settings(max_examples=100, deadline=None)
